@@ -47,8 +47,9 @@ struct F1Runtime
     sim::SimTime
     warmKernel(const std::string &name)
     {
-        (void)runtime.invokeFpgaSync(name, 0, 1); // warm
-        return runtime.invokeFpgaSync(name, 0, 1).value().execution;
+        (void)runtime.runSync(runtime.invokeFpga(name, 0, 1)); // warm
+        return runtime.runSync(
+            runtime.invokeFpga(name, 0, 1)).value().execution;
     }
 
     sim::SimTime

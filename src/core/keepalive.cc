@@ -132,15 +132,4 @@ toString(KeepAliveConfig::Kind kind)
     return "?";
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-KeepAliveConfig
-keepAliveConfigFrom(KeepAlivePolicy policy)
-{
-    return policy == KeepAlivePolicy::GreedyDual
-               ? KeepAliveConfig::greedyDual()
-               : KeepAliveConfig::lru();
-}
-#pragma GCC diagnostic pop
-
 } // namespace molecule::core

@@ -243,24 +243,6 @@ struct KeepAliveConfig
 
 const char *toString(KeepAliveConfig::Kind kind);
 
-/**
- * Pre-policy-layer eviction selector, kept for exactly one release so
- * downstream code migrates off the enum at its own pace. Use
- * KeepAliveConfig (and StartupOptions::keepAlive) instead.
- */
-enum class [[deprecated(
-    "use KeepAliveConfig / StartupOptions::keepAlive")]] KeepAlivePolicy {
-    Lru,
-    GreedyDual,
-};
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-/** Enum -> strategy-config adapter (one-release migration shim). */
-[[deprecated("use KeepAliveConfig::lru() / ::greedyDual()")]]
-KeepAliveConfig keepAliveConfigFrom(KeepAlivePolicy policy);
-#pragma GCC diagnostic pop
-
 } // namespace molecule::core
 
 #endif // MOLECULE_CORE_KEEPALIVE_HH

@@ -1,13 +1,16 @@
 #include "core/molecule.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "hw/calibration.hh"
-#include "sim/logging.hh"
 
 namespace molecule::core {
 
 namespace calib = hw::calib;
+
+/** Sim-time pause before every retry attempt. */
+constexpr sim::SimTime kRetryBackoff = sim::SimTime::milliseconds(5);
 
 Molecule::Molecule(hw::Computer &computer, MoleculeOptions options)
     : computer_(computer), options_(options)
@@ -26,6 +29,12 @@ Molecule::Molecule(hw::Computer &computer, MoleculeOptions options)
             *dep_, *startup_, options_.tracer);
         options_.faults->addListener(recovery_.get());
     }
+    for (std::size_t i = 0; i < computer_.fpgas().size(); ++i)
+        fpgaLocks_.push_back(
+            std::make_unique<sim::Semaphore>(simulation(), 1));
+    for (std::size_t i = 0; i < computer_.gpus().size(); ++i)
+        gpuLocks_.push_back(
+            std::make_unique<sim::Semaphore>(simulation(), 1));
 }
 
 Molecule::~Molecule()
@@ -76,21 +85,6 @@ Molecule::registerGpuFunction(const std::string &name,
 }
 
 void
-Molecule::registerHybridFunction(const std::string &cpuName,
-                                 const std::string &fpgaName,
-                                 std::uint64_t units)
-{
-    FunctionDef def;
-    def.name = cpuName;
-    def.cpuWork = &catalog_.cpu(cpuName);
-    def.fpgaWork = &catalog_.fpga(fpgaName);
-    def.fpgaUnits = units;
-    def.profiles.push_back(Profile{hw::PuType::HostCpu, 1.0});
-    def.profiles.push_back(Profile{hw::PuType::FpgaHost, 3.0});
-    registry_.add(std::move(def));
-}
-
-void
 Molecule::start()
 {
     if (started_)
@@ -103,179 +97,100 @@ Molecule::start()
     simulation().run();
 }
 
-sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invokeOnce(const FunctionDef &def, const InvokeOptions &opts,
-                     int attempt, obs::PuList exclude, sim::SimTime t0,
-                     obs::SpanContext rootCtx, AcquiredInstance *acqOut)
+/** A step's inputs; trivially copyable, so passed by value (task.hh). */
+struct Molecule::Attempt
 {
-    const FunctionDef *defp = &def;
-    const InvokeOptions owned_opts = opts;
-    const obs::PuList owned_exclude =
-        owned_opts.failover ? exclude : obs::PuList{};
-    AcquiredInstance *out = acqOut;
-    auto &sim = simulation();
+    const FunctionDef *def;
+    Target target;
+    InvokeOptions opts;
+    int pu;                // manager PU (CPU/DPU) or the device's host
+    int number;            // 1-based
+    obs::PuList tried;     // PUs earlier attempts failed on
+    sim::SimTime t0;       // invocation start: the deadline's origin
+    obs::SpanContext ctx;  // the root span
+    AcquiredInstance *acq; // out: CPU/DPU instance to release on success
 
-    obs::InvocationRecord rec;
-    rec.function = defp->name;
-    rec.attempts = attempt;
-
-    // Admission + placement: pure control-plane computation on the
-    // manager PU before any simulated time passes.
-    int target = -1;
+    bool
+    pastDeadline(sim::SimTime now) const
     {
-        obs::Span admit(rootCtx, "gateway.admit", obs::Layer::Core,
-                        options_.managerPu);
-        obs::Span place(rootCtx, "sched.place", obs::Layer::Core,
-                        options_.managerPu);
-        const int requested = attempt == 1 || !owned_opts.failover
-                                  ? owned_opts.pu
-                                  : -1;
-        const Expected<int> admitted =
-            gateway_->admit(*defp, requested, owned_exclude.view());
-        if (!admitted.ok())
-            co_return admitted.error();
-        target = admitted.value();
-        place.setArg(target);
-    }
-    rec.pu = target;
-    // Outstanding-work accounting for load-aware placement: every
-    // exit path below must balance this with noteComplete.
-    scheduler_->noteDispatch(target);
-
-    AcquiredInstance acq = co_await startup_->acquire(
-        *defp, target, options_.managerPu, rootCtx);
-    *out = acq;
-    if (acq.instance == nullptr) {
-        scheduler_->noteComplete(target);
-        co_return Error(Errc::NoMemory,
-                        "admission failed for '" + defp->name + "'",
-                        target);
-    }
-    if (dep_->puDown(target)) {
-        scheduler_->noteComplete(target);
-        co_return Error(Errc::PuCrashed,
-                        "'" + defp->name +
-                            "' lost its PU during startup",
-                        target);
-    }
-    rec.coldStart = acq.cold;
-    rec.startup = acq.startupTime;
-
-    if (owned_opts.deadline > sim::SimTime(0) &&
-        sim.now() - t0 > owned_opts.deadline) {
-        if (!acq.instance->dead)
-            co_await startup_->release(*defp, acq);
-        scheduler_->noteComplete(target);
-        co_return Error(Errc::DeadlineExceeded,
-                        "'" + defp->name +
-                            "' missed its deadline after startup",
-                        target);
+        return opts.deadline > sim::SimTime(0) && now - t0 > opts.deadline;
     }
 
-    // Request delivery from the runtime into the instance.
-    const auto commStart = sim.now();
-    auto &os = dep_->osOn(target);
+    Error
+    missedDeadline(const char *phase, int at) const
     {
-        obs::Span comm(rootCtx, "comm", obs::Layer::Core, target);
-        if (options_.managerPu != target) {
-            co_await dep_->shimNet().transfer(options_.managerPu,
-                                              target,
-                                              defp->cpuWork->msgBytes,
-                                              comm.ctx());
-        }
-        const bool isNode =
-            defp->cpuWork->image.language == sandbox::Language::Node;
-        obs::Span disp(comm.ctx(), "os.dispatch", obs::Layer::Os,
-                       target);
-        if (options_.dagMode == DagCommMode::BaselineHttp) {
-            co_await sim.delay(os.pu().netCost(
-                calib::kHttpEdgeEndpointCost +
-                (isNode ? calib::kExpressDispatch
-                        : calib::kFlaskDispatch)));
-        } else {
-            co_await sim.delay(os.pu().netCost(
-                calib::kIpcSerializeCost +
-                (isNode ? calib::kFifoDispatchNode
-                        : calib::kFifoDispatchPython)));
-        }
+        return Error(Errc::DeadlineExceeded,
+                     "'" + def->name + "' missed its deadline " + phase, at);
     }
-    rec.communication = sim.now() - commStart;
+};
 
-    if (owned_opts.deadline > sim::SimTime(0) &&
-        sim.now() - t0 > owned_opts.deadline) {
-        if (!acq.instance->dead && !dep_->puDown(target))
-            co_await startup_->release(*defp, acq);
-        scheduler_->noteComplete(target);
-        co_return Error(Errc::DeadlineExceeded,
-                        "'" + defp->name +
-                            "' missed its deadline before execution",
-                        target);
-    }
-
-    const auto execStart = sim.now();
-    const auto exec = acq.cold
-                          ? defp->cpuWork->execCost *
-                                defp->cpuWork->coldExecFactor
-                          : defp->cpuWork->execCost;
-    core::Status st = co_await dep_->runcOn(target).invoke(
-        acq.instance->id, exec, rootCtx);
-    scheduler_->noteComplete(target);
-    if (!st.ok())
-        co_return st.error();
-    rec.execution = sim.now() - execStart;
-    co_return rec;
+Expected<int>
+Molecule::rootPu(const FunctionDef &def, Target target)
+{
+    const auto dev = std::size_t(target.device); // negative: huge
+    if (target.kind == Target::Cpu && def.cpuWork != nullptr)
+        return options_.managerPu;
+    if (target.kind == Target::Fpga && def.fpgaWork != nullptr &&
+        dev < computer_.fpgas().size())
+        return computer_.fpga(target.device).hostPuId();
+    if (target.kind == Target::Gpu && def.gpuKernelTime > sim::SimTime(0) &&
+        dev < computer_.gpus().size())
+        return computer_.gpuDev(target.device).hostPuId();
+    const char *const kKinds[] = {"CPU/DPU", "FPGA", "GPU"}; // by Kind
+    return Error(Errc::InvalidArgument,
+                 "'" + def.name + "' has no " + kKinds[target.kind] +
+                     " profile, or device " +
+                     std::to_string(target.device) + " does not exist");
 }
 
 sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invoke(const std::string &fn, const InvokeOptions &opts)
+Molecule::run(const std::string &fn, Target target,
+              const InvokeOptions &opts)
 {
-    std::string owned_fn = fn;
-    InvokeOptions owned_opts = opts;
+    const std::string owned_fn = fn;
     const FunctionDef *def = registry_.findPtr(owned_fn);
     if (def == nullptr)
         co_return Error(Errc::NotFound,
                         "unknown function '" + owned_fn + "'");
-    MOLECULE_ASSERT(def->cpuWork != nullptr,
-                    "'%s' is accelerator-only; use invokeFpga",
-                    owned_fn.c_str());
+    const Expected<int> pu = rootPu(*def, target);
+    if (!pu.ok())
+        co_return pu.error();
     auto &sim = simulation();
 
     // Root span of this invocation's trace: all attempts (and the
     // backoff pauses between them) nest under it.
     obs::Span root = obs::Span::root(options_.tracer, "invoke",
-                                     obs::Layer::Core,
-                                     options_.managerPu);
+                                     obs::Layer::Core, pu.value());
     root.setDetail(owned_fn.c_str());
 
-    const sim::SimTime t0 = sim.now();
-    const int maxAttempts =
-        owned_opts.maxAttempts < 1 ? 1 : owned_opts.maxAttempts;
-    obs::PuList tried;
+    AcquiredInstance acq;
+    static_assert(std::is_trivially_copyable_v<Attempt>);
+    Attempt a{def, target, opts, pu.value(), 0, {},
+              sim.now(), root.ctx(), &acq};
     Error lastErr;
-    int attemptsMade = 0;
-
-    for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-        attemptsMade = attempt;
-        if (attempt > 1) {
+    while (a.number < std::max(1, a.opts.maxAttempts)) {
+        if (++a.number > 1) {
             obs::Span backoff(root.ctx(), "retry.backoff",
-                              obs::Layer::Core, options_.managerPu);
-            backoff.setArg(attempt);
+                              obs::Layer::Core, a.pu);
+            backoff.setArg(a.number);
             if (options_.tracer != nullptr)
-                options_.tracer->metrics()
-                    .counter("invoke.retry")
-                    .inc();
-            co_await sim.delay(owned_opts.retryBackoff);
+                options_.tracer->metrics().counter("invoke.retry").inc();
+            co_await sim.delay(kRetryBackoff);
+        }
+        if (a.pastDeadline(sim.now())) {
+            lastErr = a.missedDeadline("at admission", -1);
+            break;
         }
 
-        AcquiredInstance acq;
-        Expected<obs::InvocationRecord> r = co_await invokeOnce(
-            *def, owned_opts, attempt, tried, t0, root.ctx(), &acq);
+        Expected<obs::InvocationRecord> r = co_await step(a);
         if (r.ok()) {
             obs::InvocationRecord rec = std::move(r.value());
+            rec.function = owned_fn;
             rec.traceId = root.traceId();
-            rec.pusTried = tried;
-            rec.failedOver = !tried.empty() && !tried.contains(rec.pu);
-            rec.endToEnd = sim.now() - t0;
+            rec.attempts = a.number;
+            rec.pusTried = a.tried;
+            rec.failedOver = !a.tried.empty() && !a.tried.contains(rec.pu);
+            rec.endToEnd = sim.now() - a.t0;
             // The measured window ends here; the keep-alive release
             // below is runtime bookkeeping and must not stretch the
             // root span.
@@ -288,8 +203,8 @@ Molecule::invoke(const std::string &fn, const InvokeOptions &opts)
         }
 
         lastErr = r.error();
-        if (lastErr.pu() >= 0 && !tried.contains(lastErr.pu()))
-            tried.push_back(lastErr.pu());
+        if (lastErr.pu() >= 0 && !a.tried.contains(lastErr.pu()))
+            a.tried.push_back(lastErr.pu());
         if (lastErr.code() == Errc::DeadlineExceeded)
             break; // The budget is gone; a retry cannot make it.
         if (options_.tracer != nullptr)
@@ -300,246 +215,179 @@ Molecule::invoke(const std::string &fn, const InvokeOptions &opts)
 
     if (options_.tracer != nullptr)
         options_.tracer->metrics().counter("invoke.failed").inc();
-    if (attemptsMade <= 1 || lastErr.code() == Errc::DeadlineExceeded) {
-        Error out = lastErr;
-        out.withPusTried(tried.toVector());
-        co_return out;
+    if (a.number > 1 && lastErr.code() != Errc::DeadlineExceeded) {
+        Error exhausted(Errc::RetriesExhausted,
+                        "'" + owned_fn + "' failed after " +
+                            std::to_string(a.number) + " attempts");
+        exhausted.causedBy(lastErr).withRetries(a.number - 1);
+        lastErr = std::move(exhausted);
     }
-    Error out(Errc::RetriesExhausted,
-              "'" + owned_fn + "' failed after " +
-                  std::to_string(attemptsMade) + " attempts");
-    out.causedBy(lastErr)
-        .withRetries(attemptsMade - 1)
-        .withPusTried(tried.toVector());
-    co_return out;
+    lastErr.withPusTried(a.tried.toVector());
+    co_return lastErr;
 }
 
 sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invoke(const std::string &fn, int pu)
+Molecule::step(const Attempt &a)
 {
-    std::string owned_fn = fn;
-    InvokeOptions opts;
-    opts.pu = pu;
-    auto r = co_await invoke(owned_fn, opts);
-    co_return r;
-}
-
-Expected<obs::InvocationRecord>
-Molecule::invokeSync(const std::string &fn, const InvokeOptions &opts)
-{
-    // Watchdog slot: if the simulation drains with the invocation
-    // still pending — some fault left it blocked forever — the Hang
-    // error is what the caller sees instead of a silent garbage
-    // record.
-    Expected<obs::InvocationRecord> out(Error(
-        Errc::Hang,
-        "invocation of '" + fn +
-            "' did not complete before the simulation drained"));
-    auto run = [](Molecule *self, std::string name, InvokeOptions o,
-                  Expected<obs::InvocationRecord> *slot) -> sim::Task<> {
-        Expected<obs::InvocationRecord> r =
-            co_await self->invoke(name, o);
-        *slot = std::move(r);
-    };
-    simulation().spawn(run(this, fn, opts, &out));
-    simulation().run();
-    return out;
-}
-
-Expected<obs::InvocationRecord>
-Molecule::invokeSync(const std::string &fn, int pu)
-{
-    InvokeOptions opts;
-    opts.pu = pu;
-    return invokeSync(fn, opts);
+    if (a.target.kind == Target::Fpga)
+        return fpgaStep(a);
+    return a.target.kind == Target::Gpu ? gpuStep(a) : cpuStep(a);
 }
 
 sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invokeFpga(const std::string &fn, int fpgaIndex,
-                     std::uint64_t units, const InvokeOptions &opts)
+Molecule::cpuStep(Attempt a)
 {
-    std::string owned_fn = fn;
-    InvokeOptions owned_opts = opts;
-    const int idx = fpgaIndex;
-    const std::uint64_t owned_units = units;
-    const FunctionDef *def = registry_.findPtr(owned_fn);
-    if (def == nullptr)
-        co_return Error(Errc::NotFound,
-                        "unknown function '" + owned_fn + "'");
-    MOLECULE_ASSERT(def->fpgaWork != nullptr, "'%s' has no FPGA profile",
-                    owned_fn.c_str());
-    auto &sim = simulation();
-    const int hostPu = dep_->computer().fpga(idx).hostPuId();
-
-    obs::Span root = obs::Span::root(options_.tracer, "invoke",
-                                     obs::Layer::Core, hostPu);
-    root.setDetail(owned_fn.c_str());
-
-    const sim::SimTime t0 = sim.now();
-    const int maxAttempts =
-        owned_opts.maxAttempts < 1 ? 1 : owned_opts.maxAttempts;
-    Error lastErr;
-    int attemptsMade = 0;
-
-    // Reconfiguration failures are transient and count-limited, so
-    // retries re-attempt on the same card — no cross-card failover.
-    for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-        attemptsMade = attempt;
-        if (attempt > 1) {
-            obs::Span backoff(root.ctx(), "retry.backoff",
-                              obs::Layer::Core, hostPu);
-            backoff.setArg(attempt);
-            if (options_.tracer != nullptr)
-                options_.tracer->metrics()
-                    .counter("invoke.retry")
-                    .inc();
-            co_await sim.delay(owned_opts.retryBackoff);
-        }
-        if (owned_opts.deadline > sim::SimTime(0) &&
-            sim.now() - t0 > owned_opts.deadline) {
-            lastErr = Error(Errc::DeadlineExceeded,
-                            "'" + owned_fn +
-                                "' missed its deadline at admission",
-                            hostPu);
-            break;
-        }
-        if (dep_->puDown(hostPu)) {
-            lastErr = Error(Errc::PuCrashed,
-                            "FPGA host PU is down", hostPu);
-            continue;
-        }
-
-        Expected<AcquiredFpga> acq =
-            co_await startup_->acquireFpga(*def, idx, root.ctx());
-        if (!acq.ok()) {
-            lastErr = acq.error();
-            continue;
-        }
-
-        obs::InvocationRecord rec;
-        rec.function = owned_fn;
-        rec.pu = hostPu;
-        rec.traceId = root.traceId();
-        rec.attempts = attempt;
-        rec.coldStart = acq.value().cold;
-        rec.startup = acq.value().startupTime;
-
-        const auto execStart = sim.now();
-        co_await dep_->runf(idx).invoke(
-            acq.value().sandboxId,
-            def->fpgaWork->kernelTime(owned_units),
-            def->fpgaWork->dmaInBytes(owned_units),
-            def->fpgaWork->dmaOutBytes(owned_units), false, false,
-            root.ctx());
-        rec.execution = sim.now() - execStart;
-        rec.endToEnd = sim.now() - t0;
-        co_return rec;
-    }
-
-    if (options_.tracer != nullptr)
-        options_.tracer->metrics().counter("invoke.failed").inc();
-    if (attemptsMade <= 1 || lastErr.code() == Errc::DeadlineExceeded)
-        co_return lastErr;
-    Error out(Errc::RetriesExhausted,
-              "'" + owned_fn + "' failed after " +
-                  std::to_string(attemptsMade) + " attempts");
-    out.causedBy(lastErr).withRetries(attemptsMade - 1);
-    co_return out;
-}
-
-sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invokeFpga(const std::string &fn, int fpgaIndex,
-                     std::uint64_t units)
-{
-    std::string owned_fn = fn;
-    InvokeOptions opts;
-    auto r = co_await invokeFpga(owned_fn, fpgaIndex, units, opts);
-    co_return r;
-}
-
-Expected<obs::InvocationRecord>
-Molecule::invokeFpgaSync(const std::string &fn, int fpgaIndex,
-                         std::uint64_t units, const InvokeOptions &opts)
-{
-    Expected<obs::InvocationRecord> out(Error(
-        Errc::Hang,
-        "invocation of '" + fn +
-            "' did not complete before the simulation drained"));
-    auto run = [](Molecule *self, std::string name, int idx,
-                  std::uint64_t u, InvokeOptions o,
-                  Expected<obs::InvocationRecord> *slot) -> sim::Task<> {
-        Expected<obs::InvocationRecord> r =
-            co_await self->invokeFpga(name, idx, u, o);
-        *slot = std::move(r);
-    };
-    simulation().spawn(run(this, fn, fpgaIndex, units, opts, &out));
-    simulation().run();
-    return out;
-}
-
-Expected<obs::InvocationRecord>
-Molecule::invokeFpgaSync(const std::string &fn, int fpgaIndex,
-                         std::uint64_t units)
-{
-    return invokeFpgaSync(fn, fpgaIndex, units, InvokeOptions{});
-}
-
-sim::Task<Expected<obs::InvocationRecord>>
-Molecule::invokeGpu(const std::string &fn, int gpuIndex)
-{
-    std::string owned_fn = fn;
-    const int idx = gpuIndex;
-    const FunctionDef *def = registry_.findPtr(owned_fn);
-    if (def == nullptr)
-        co_return Error(Errc::NotFound,
-                        "unknown function '" + owned_fn + "'");
-    MOLECULE_ASSERT(def->gpuKernelTime > sim::SimTime(0),
-                    "'%s' has no GPU profile", owned_fn.c_str());
+    const FunctionDef &def = *a.def;
     auto &sim = simulation();
     obs::InvocationRecord rec;
-    rec.function = owned_fn;
-    rec.pu = dep_->computer().gpuDev(idx).hostPuId();
 
-    obs::Span root = obs::Span::root(options_.tracer, "invoke",
-                                     obs::Layer::Core, rec.pu);
-    root.setDetail(owned_fn.c_str());
-    rec.traceId = root.traceId();
+    // Admission + placement: pure control-plane computation on the
+    // manager PU before any simulated time passes.
+    int target = -1;
+    {
+        obs::Span admit(a.ctx, "gateway.admit", obs::Layer::Core, a.pu);
+        obs::Span place(a.ctx, "sched.place", obs::Layer::Core, a.pu);
+        const bool failover = a.opts.failover;
+        const int requested = a.number == 1 || !failover ? a.opts.pu : -1;
+        const obs::PuList exclude = failover ? a.tried : obs::PuList{};
+        const Expected<int> admitted =
+            gateway_->admit(def, requested, exclude.view());
+        if (!admitted.ok())
+            co_return admitted.error();
+        target = admitted.value();
+        place.setArg(target);
+    }
+    rec.pu = target;
+    // Outstanding-work accounting for load-aware placement: every
+    // exit path below must balance this with noteComplete.
+    scheduler_->noteDispatch(target);
 
-    if (dep_->puDown(rec.pu))
-        co_return Error(Errc::PuCrashed, "GPU host PU is down",
-                        rec.pu);
-
-    const auto t0 = sim.now();
-    AcquiredFpga acq =
-        co_await startup_->acquireGpu(*def, idx, root.ctx());
+    AcquiredInstance acq =
+        co_await startup_->acquire(def, target, a.pu, a.ctx);
+    *a.acq = acq;
+    if (acq.instance == nullptr) {
+        scheduler_->noteComplete(target);
+        co_return Error(Errc::NoMemory,
+                        "admission failed for '" + def.name + "'", target);
+    }
+    if (dep_->puDown(target)) {
+        scheduler_->noteComplete(target);
+        co_return Error(Errc::PuCrashed,
+                        "'" + def.name + "' lost its PU during startup",
+                        target);
+    }
     rec.coldStart = acq.cold;
     rec.startup = acq.startupTime;
 
+    // Request delivery from the runtime into the instance.
+    const auto commStart = sim.now();
+    {
+        obs::Span comm(a.ctx, "comm", obs::Layer::Core, target);
+        if (a.pu != target) {
+            co_await dep_->shimNet().transfer(a.pu, target,
+                                              def.cpuWork->msgBytes,
+                                              comm.ctx());
+        }
+        const bool isNode =
+            def.cpuWork->image.language == sandbox::Language::Node;
+        const sim::SimTime dispatch =
+            options_.dagMode == DagCommMode::BaselineHttp
+                ? calib::kHttpEdgeEndpointCost +
+                      (isNode ? calib::kExpressDispatch
+                              : calib::kFlaskDispatch)
+                : calib::kIpcSerializeCost +
+                      (isNode ? calib::kFifoDispatchNode
+                              : calib::kFifoDispatchPython);
+        obs::Span disp(comm.ctx(), "os.dispatch", obs::Layer::Os, target);
+        co_await sim.delay(dep_->osOn(target).pu().netCost(dispatch));
+    }
+    rec.communication = sim.now() - commStart;
+
+    if (a.pastDeadline(sim.now())) {
+        if (!acq.instance->dead && !dep_->puDown(target))
+            co_await startup_->release(def, acq);
+        scheduler_->noteComplete(target);
+        co_return a.missedDeadline("before execution", target);
+    }
+
     const auto execStart = sim.now();
-    co_await dep_->rung(idx).invoke(acq.sandboxId, def->gpuKernelTime,
-                                    def->gpuIoBytes, def->gpuIoBytes,
-                                    root.ctx());
+    const auto exec =
+        acq.cold ? def.cpuWork->execCost * def.cpuWork->coldExecFactor
+                 : def.cpuWork->execCost;
+    core::Status st = co_await dep_->runcOn(target).invoke(
+        acq.instance->id, exec, a.ctx);
+    scheduler_->noteComplete(target);
+    if (!st.ok())
+        co_return st.error();
     rec.execution = sim.now() - execStart;
-    rec.endToEnd = sim.now() - t0;
     co_return rec;
 }
 
-Expected<obs::InvocationRecord>
-Molecule::invokeGpuSync(const std::string &fn, int gpuIndex)
+sim::Task<Expected<obs::InvocationRecord>>
+Molecule::fpgaStep(Attempt a)
 {
-    Expected<obs::InvocationRecord> out(Error(
-        Errc::Hang,
-        "invocation of '" + fn +
-            "' did not complete before the simulation drained"));
-    auto run = [](Molecule *self, std::string name, int idx,
-                  Expected<obs::InvocationRecord> *slot) -> sim::Task<> {
-        Expected<obs::InvocationRecord> r =
-            co_await self->invokeGpu(name, idx);
-        *slot = std::move(r);
-    };
-    simulation().spawn(run(this, fn, gpuIndex, &out));
-    simulation().run();
-    return out;
+    const FunctionDef &def = *a.def;
+    const int idx = a.target.device;
+    auto &sim = simulation();
+    if (dep_->puDown(a.pu))
+        co_return Error(Errc::PuCrashed, "FPGA host PU is down", a.pu);
+
+    // One caller per card from acquire through exec: a second caller's
+    // composition would replace the image under this caller's kernel.
+    sim::Semaphore &card = *fpgaLocks_[std::size_t(idx)];
+    co_await card.acquire();
+    sim::SemGuard hold(card);
+    Expected<AcquiredFpga> acq =
+        co_await startup_->acquireFpga(def, idx, a.ctx);
+    if (!acq.ok())
+        co_return acq.error();
+    if (a.pastDeadline(sim.now()))
+        co_return a.missedDeadline("before execution", a.pu);
+
+    obs::InvocationRecord rec;
+    rec.pu = a.pu;
+    rec.coldStart = acq.value().cold;
+    rec.startup = acq.value().startupTime;
+    const auto execStart = sim.now();
+    const std::uint64_t units = a.target.fpgaUnits;
+    co_await dep_->runf(idx).invoke(
+        acq.value().sandboxId, def.fpgaWork->kernelTime(units),
+        def.fpgaWork->dmaInBytes(units), def.fpgaWork->dmaOutBytes(units),
+        false, false, a.ctx);
+    rec.execution = sim.now() - execStart;
+    co_return rec;
+}
+
+sim::Task<Expected<obs::InvocationRecord>>
+Molecule::gpuStep(Attempt a)
+{
+    const FunctionDef &def = *a.def;
+    const int idx = a.target.device;
+    auto &sim = simulation();
+    if (dep_->puDown(a.pu))
+        co_return Error(Errc::PuCrashed, "GPU host PU is down", a.pu);
+
+    // One caller per GPU through acquire, so a second caller cannot
+    // take a half-created sandbox for warm; kernels overlap after.
+    AcquiredFpga acq;
+    {
+        sim::Semaphore &gpu = *gpuLocks_[std::size_t(idx)];
+        co_await gpu.acquire();
+        sim::SemGuard hold(gpu);
+        acq = co_await startup_->acquireGpu(def, idx, a.ctx);
+    }
+    if (a.pastDeadline(sim.now()))
+        co_return a.missedDeadline("before execution", a.pu);
+
+    obs::InvocationRecord rec;
+    rec.pu = a.pu;
+    rec.coldStart = acq.cold;
+    rec.startup = acq.startupTime;
+    const auto execStart = sim.now();
+    co_await dep_->rung(idx).invoke(acq.sandboxId, def.gpuKernelTime,
+                                    def.gpuIoBytes, def.gpuIoBytes, a.ctx);
+    rec.execution = sim.now() - execStart;
+    co_return rec;
 }
 
 sim::Task<Expected<obs::ChainRecord>>
@@ -566,27 +414,6 @@ Molecule::invokeChain(const ChainSpec &spec, std::vector<int> placement,
                            options_.dagMode, prewarm,
                            options_.managerPu, root.ctx());
     co_return record;
-}
-
-Expected<obs::ChainRecord>
-Molecule::invokeChainSync(const ChainSpec &spec,
-                          std::vector<int> placement, bool prewarm)
-{
-    Expected<obs::ChainRecord> out(Error(
-        Errc::Hang,
-        "chain '" + spec.name +
-            "' did not complete before the simulation drained"));
-    auto run = [](Molecule *self, ChainSpec s, std::vector<int> p,
-                  bool w,
-                  Expected<obs::ChainRecord> *slot) -> sim::Task<> {
-        Expected<obs::ChainRecord> r =
-            co_await self->invokeChain(s, std::move(p), w);
-        *slot = std::move(r);
-    };
-    simulation().spawn(run(this, spec, std::move(placement), prewarm,
-                           &out));
-    simulation().run();
-    return out;
 }
 
 } // namespace molecule::core

@@ -13,9 +13,10 @@
  *
  * Invocation outcomes are typed: every invoke returns
  * `core::Expected<obs::InvocationRecord>` so injected faults (PU
- * crashes, OOM kills, FPGA reconfiguration failures) surface as
- * `core::Error` chains instead of asserts — with optional
- * retry-with-backoff and failover placement per InvokeOptions.
+ * crashes, OOM kills, FPGA reconfiguration failures) and bad caller
+ * input surface as `core::Error` chains instead of asserts. CPU/DPU,
+ * FPGA and GPU invocations share one attempt loop, so deadlines and
+ * retry-with-backoff (per InvokeOptions) mean the same on every kind.
  *
  * @code
  *   sim::Simulation s;
@@ -24,7 +25,7 @@
  *   runtime.registerCpuFunction("helloworld",
  *                               {hw::PuType::HostCpu, hw::PuType::Dpu});
  *   runtime.start();
- *   auto record = runtime.invokeSync("helloworld");
+ *   auto record = runtime.runSync(runtime.invoke("helloworld"));
  *   if (record.ok())
  *       use(record.value().endToEnd);
  * @endcode
@@ -34,7 +35,7 @@
 #define MOLECULE_CORE_MOLECULE_HH
 
 #include <memory>
-#include <optional>
+#include <vector>
 
 #include "core/dag.hh"
 #include "core/gateway.hh"
@@ -44,6 +45,7 @@
 #include "core/status.hh"
 #include "fault/state.hh"
 #include "obs/trace.hh"
+#include "sim/sync.hh"
 #include "workloads/catalog.hh"
 
 namespace molecule::core {
@@ -83,22 +85,23 @@ struct MoleculeOptions
     }
 };
 
-/** Per-invocation resilience knobs (§ fault injection & recovery). */
+/**
+ * Per-invocation resilience knobs (§ fault injection & recovery).
+ * Every attempt after the first waits a fixed 5 ms of sim time.
+ */
 struct InvokeOptions
 {
-    /** Explicit placement; -1 lets the scheduler pick. */
+    /** Explicit CPU/DPU placement; -1 lets the scheduler pick. */
     int pu = -1;
     /**
-     * End-to-end sim-time budget enforced at admission and between
-     * phases; zero disables. Exceeding it returns DeadlineExceeded
-     * (never retried — the budget is already gone).
+     * End-to-end sim-time budget, checked at each attempt's admission
+     * and again before execution; zero disables. Exceeding it returns
+     * DeadlineExceeded (never retried — the budget is gone).
      */
     sim::SimTime deadline{};
     /** Total attempts (1 = no retry). */
     int maxAttempts = 1;
-    /** Sim-time pause before each retry attempt. */
-    sim::SimTime retryBackoff = sim::SimTime::milliseconds(5);
-    /** Allow retries to fail over to another allowed PU. */
+    /** Allow CPU/DPU retries to fail over to another allowed PU. */
     bool failover = true;
 };
 
@@ -154,11 +157,6 @@ class Molecule
     void registerGpuFunction(const std::string &name,
                              sim::SimTime kernelTime,
                              std::uint64_t ioBytes = 1 << 20);
-
-    /** Register a function that may run on both CPU/DPU and FPGA. */
-    void registerHybridFunction(const std::string &cpuName,
-                                const std::string &fpgaName,
-                                std::uint64_t units = 1);
     ///@}
 
     /**
@@ -167,87 +165,99 @@ class Molecule
      */
     void start();
 
-    /** @name Invocation (synchronous helpers run the simulation) */
+    /** @name Invocation */
     ///@{
 
     /**
-     * One invocation with full resilience control. Retries run the
-     * whole admission/startup/comm/exec pipeline again after
-     * @ref InvokeOptions::retryBackoff; with failover enabled the
-     * retry excludes every PU a previous attempt failed on. On
-     * exhaustion the RetriesExhausted error carries the last cause,
-     * the retry count and the PUs tried.
+     * One CPU/DPU invocation. A retry runs the whole admission/
+     * startup/comm/exec pipeline again; with failover enabled it
+     * excludes every PU a previous attempt failed on. On exhaustion
+     * the RetriesExhausted error carries the last cause, the retry
+     * count and the PUs tried.
      */
     [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invoke(const std::string &fn, const InvokeOptions &opts);
-
-    /** One invocation; @p pu -1 lets the scheduler pick. */
-    [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invoke(const std::string &fn, int pu = -1);
+    invoke(const std::string &fn, const InvokeOptions &opts = {})
+    {
+        return run(fn, Target{Target::Cpu}, opts);
+    }
 
     /**
-     * Run the simulation until @ref invoke completes. If the
-     * simulation drains while the invocation is still pending (a hang
-     * — some fault left it blocked forever), returns Errc::Hang.
-     */
-    [[nodiscard]] Expected<obs::InvocationRecord>
-    invokeSync(const std::string &fn, const InvokeOptions &opts);
-
-    [[nodiscard]] Expected<obs::InvocationRecord>
-    invokeSync(const std::string &fn, int pu = -1);
-
-    /**
-     * One FPGA invocation with @p units of input. Injected
-     * reconfiguration failures surface as FpgaReconfigFailed; retries
-     * (per @p opts) re-attempt on the same card — reconfiguration
-     * faults are transient and count-limited, so there is no cross-
-     * card failover.
+     * One invocation on FPGA card @p fpgaIndex with @p units of input.
+     * Injected reconfiguration failures surface as FpgaReconfigFailed;
+     * retries stay on the same card (the faults are transient and
+     * count-limited). Concurrent callers of one card run in turn.
      */
     [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invokeFpga(const std::string &fn, int fpgaIndex,
-               std::uint64_t units, const InvokeOptions &opts);
+    invokeFpga(const std::string &fn, int fpgaIndex, std::uint64_t units,
+               const InvokeOptions &opts = {})
+    {
+        return run(fn, Target{Target::Fpga, fpgaIndex, units}, opts);
+    }
 
+    /** One invocation on GPU @p gpuIndex (§6.8 generality path). */
     [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invokeFpga(const std::string &fn, int fpgaIndex,
-               std::uint64_t units);
-
-    [[nodiscard]] Expected<obs::InvocationRecord>
-    invokeFpgaSync(const std::string &fn, int fpgaIndex,
-                   std::uint64_t units, const InvokeOptions &opts);
-
-    [[nodiscard]] Expected<obs::InvocationRecord>
-    invokeFpgaSync(const std::string &fn, int fpgaIndex,
-                   std::uint64_t units);
-
-    /** One GPU invocation (§6.8 generality path). */
-    [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invokeGpu(const std::string &fn, int gpuIndex);
-
-    [[nodiscard]] Expected<obs::InvocationRecord>
-    invokeGpuSync(const std::string &fn, int gpuIndex);
+    invokeGpu(const std::string &fn, int gpuIndex,
+              const InvokeOptions &opts = {})
+    {
+        return run(fn, Target{Target::Gpu, gpuIndex}, opts);
+    }
 
     /** Run a chain; empty placement lets the scheduler place it. */
     [[nodiscard]] sim::Task<Expected<obs::ChainRecord>>
     invokeChain(const ChainSpec &spec, std::vector<int> placement = {},
                 bool prewarm = true);
 
-    [[nodiscard]] Expected<obs::ChainRecord>
-    invokeChainSync(const ChainSpec &spec,
-                    std::vector<int> placement = {},
-                    bool prewarm = true);
+    /**
+     * Run the simulation until @p task completes; Errc::Hang if it
+     * drains first (some fault left the task blocked forever). Build
+     * the task in the same expression, `runSync(invoke("fn"))`, so the
+     * arguments it refers to outlive it.
+     */
+    template <typename T>
+    [[nodiscard]] Expected<T>
+    runSync(sim::Task<Expected<T>> task)
+    {
+        Expected<T> out(Errc::Hang, "task pending when the simulation drained");
+        auto drive = [](sim::Task<Expected<T>> *t,
+                        Expected<T> *slot) -> sim::Task<> {
+            *slot = co_await std::move(*t);
+        };
+        simulation().spawn(drive(&task, &out));
+        simulation().run();
+        return out;
+    }
     ///@}
 
   private:
+    /** The device kind (and FPGA/GPU index) an invocation targets. */
+    struct Target
+    {
+        enum Kind : std::uint8_t { Cpu, Fpga, Gpu } kind;
+        int device = 0;
+        std::uint64_t fpgaUnits = 0;
+    };
+
+    /** One attempt's inputs (molecule.cc). */
+    struct Attempt;
+
     /**
-     * One attempt of the CPU/DPU pipeline (no retry logic). On
-     * success @p acqOut holds the acquired instance so the caller can
-     * release it *after* closing the root span (keep-alive bookkeeping
-     * must not stretch the measured window).
+     * The attempt loop behind every entry point: lookup and input
+     * checks, the root span, deadline, retry with backoff, the
+     * tried-PU list, the error shape and the keep-alive release.
      */
     [[nodiscard]] sim::Task<Expected<obs::InvocationRecord>>
-    invokeOnce(const FunctionDef &def, const InvokeOptions &opts,
-               int attempt, obs::PuList exclude, sim::SimTime t0,
-               obs::SpanContext rootCtx, AcquiredInstance *acqOut);
+    run(const std::string &fn, Target target, const InvokeOptions &opts);
+
+    /** Host PU of @p target, or InvalidArgument if @p def can't run. */
+    Expected<int> rootPu(const FunctionDef &def, Target target);
+
+    /** @name One attempt on @p a's kind: acquire, then exec */
+    ///@{
+    sim::Task<Expected<obs::InvocationRecord>> step(const Attempt &a);
+    sim::Task<Expected<obs::InvocationRecord>> cpuStep(Attempt a);
+    sim::Task<Expected<obs::InvocationRecord>> fpgaStep(Attempt a);
+    sim::Task<Expected<obs::InvocationRecord>> gpuStep(Attempt a);
+    ///@}
 
     hw::Computer &computer_;
     MoleculeOptions options_;
@@ -259,6 +269,9 @@ class Molecule
     std::unique_ptr<Gateway> gateway_;
     std::unique_ptr<DagEngine> dag_;
     std::unique_ptr<RecoveryManager> recovery_;
+    /** One caller per accelerator at a time (see fpgaStep/gpuStep). */
+    std::vector<std::unique_ptr<sim::Semaphore>> fpgaLocks_;
+    std::vector<std::unique_ptr<sim::Semaphore>> gpuLocks_;
     bool started_ = false;
 };
 

@@ -36,6 +36,13 @@
  *       auto v = co_await f();  if (v) ...   // OK
  *       co_return co_await f();              // OK
  *       if (co_await f()) ...                // MISCOMPILES at -O2
+ *
+ * `co_await task` yields an rvalue reference to the value held in the
+ * child's promise, not a prvalue: the awaiting frame then holds no
+ * non-trivial temporary for the same compiler to clobber (a
+ * `c ? co_await a : co_await b` initializer stays sound). The value
+ * lives until the end of the full-expression, so copy or move it out
+ * (`auto v = co_await f();`) and never bind a reference to it.
  */
 
 #ifndef MOLECULE_SIM_TASK_HH
@@ -44,6 +51,7 @@
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -199,7 +207,7 @@ class [[nodiscard]] Task
                 return handle; // symmetric transfer: run child now
             }
 
-            T
+            std::add_rvalue_reference_t<T>
             await_resume()
             {
                 auto &p = handle.promise();

@@ -62,11 +62,11 @@ TEST_F(DagFixture, FanOutRunsLeavesConcurrently)
 {
     // DAG e2e: the two leaves overlap, so the total is one leaf
     // shorter than the linear chain of the same five functions.
-    auto dag = runtime.invokeChainSync(alexaDag(),
-                                       std::vector<int>(5, 0)).value();
-    auto linear = runtime.invokeChainSync(
+    auto dag = runtime.runSync(runtime.invokeChain(alexaDag(),
+                                       std::vector<int>(5, 0))).value();
+    auto linear = runtime.runSync(runtime.invokeChain(
         ChainSpec::linear("alexa-linear", Catalog::alexaChain()),
-        std::vector<int>(5, 0)).value();
+        std::vector<int>(5, 0))).value();
     const double execMs =
         runtime.catalog().cpu("alexa-front").execCost.toMilliseconds();
     EXPECT_NEAR(linear.endToEnd.toMilliseconds() -
@@ -78,7 +78,8 @@ TEST_F(DagFixture, PrewarmExcludesAcquisition)
 {
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> onCpu(5, 0);
-    auto prewarmed = runtime.invokeChainSync(spec, onCpu, true).value();
+    auto prewarmed = runtime.runSync(
+        runtime.invokeChain(spec, onCpu, true)).value();
     // Not prewarmed: cold startup of five instances is inside e2e.
     sim::Simulation sim2;
     auto computer2 = hw::buildCpuDpuServer(sim2,
@@ -87,7 +88,7 @@ TEST_F(DagFixture, PrewarmExcludesAcquisition)
     for (const auto &fn : Catalog::alexaChain())
         cold.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
     cold.start();
-    auto coldRun = cold.invokeChainSync(spec, onCpu, false).value();
+    auto coldRun = cold.runSync(cold.invokeChain(spec, onCpu, false)).value();
     EXPECT_GT(coldRun.endToEnd,
               prewarmed.endToEnd + sim::SimTime::fromMilliseconds(20));
 }
@@ -97,7 +98,7 @@ TEST_F(DagFixture, EntryEdgeIsCharged)
     // A one-node "chain" still pays the gateway -> instance edge.
     auto spec = ChainSpec::linear("single", {"alexa-front"});
     std::vector<int> placement{0};
-    auto rec = runtime.invokeChainSync(spec, placement).value();
+    auto rec = runtime.runSync(runtime.invokeChain(spec, placement)).value();
     EXPECT_EQ(rec.edgeLatencies.size(), 0u);
     const double execMs =
         runtime.catalog().cpu("alexa-front").execCost.toMilliseconds();
@@ -108,9 +109,9 @@ TEST_F(DagFixture, RepeatedRunsReuseWarmInstances)
 {
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> onCpu(5, 0);
-    (void)runtime.invokeChainSync(spec, onCpu);
+    (void)runtime.runSync(runtime.invokeChain(spec, onCpu));
     const auto coldStartsAfterFirst = runtime.startup().coldStarts();
-    (void)runtime.invokeChainSync(spec, onCpu);
+    (void)runtime.runSync(runtime.invokeChain(spec, onCpu));
     EXPECT_EQ(runtime.startup().coldStarts(), coldStartsAfterFirst);
 }
 
@@ -118,7 +119,7 @@ TEST_F(DagFixture, InvocationRecordsCarryPlacement)
 {
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> cross{0, 1, 0, 1, 0};
-    auto rec = runtime.invokeChainSync(spec, cross).value();
+    auto rec = runtime.runSync(runtime.invokeChain(spec, cross)).value();
     ASSERT_EQ(rec.invocations.size(), 5u);
     for (std::size_t i = 0; i < 5; ++i) {
         EXPECT_EQ(rec.invocations[i].pu, cross[i]);

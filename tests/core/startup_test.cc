@@ -34,7 +34,7 @@ TEST(Startup, GlobalBudgetEnforcedAcrossFunctions)
     std::size_t total = 0;
     for (const auto &fn :
          {"helloworld", "pyaes", "dd", "matmul", "linpack"}) {
-        (void)runtime.invokeSync(fn, 0);
+        (void)runtime.runSync(runtime.invoke(fn, {.pu = 0}));
         total = 0;
         for (const auto &g :
              {"helloworld", "pyaes", "dd", "matmul", "linpack"})
@@ -62,30 +62,14 @@ TEST(Startup, GreedyDualKeepsHighestColdCostDensity)
         runtime.registerCpuFunction("pyaes", {PuType::HostCpu});
         runtime.start();
         for (int i = 0; i < 4; ++i) {
-            (void)runtime.invokeSync("helloworld", 0);
-            (void)runtime.invokeSync("pyaes", 0); // always most recent
+            (void)runtime.runSync(runtime.invoke("helloworld", {.pu = 0}));
+            // always most recent
+            (void)runtime.runSync(runtime.invoke("pyaes", {.pu = 0}));
         }
         return runtime.startup().warmCount("helloworld", 0);
     };
     EXPECT_EQ(helloworldWarm(KeepAliveConfig::greedyDual()), 1u);
     EXPECT_EQ(helloworldWarm(KeepAliveConfig::lru()), 0u);
-}
-
-TEST(Startup, DeprecatedEnumAdapterStillSelectsStrategies)
-{
-    // One-release migration shim: the old enum maps onto the new
-    // strategy configs. Deliberately exercises deprecated API.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const KeepAliveConfig lru =
-        core::keepAliveConfigFrom(core::KeepAlivePolicy::Lru);
-    const KeepAliveConfig gd =
-        core::keepAliveConfigFrom(core::KeepAlivePolicy::GreedyDual);
-#pragma GCC diagnostic pop
-    EXPECT_EQ(lru.kind, KeepAliveConfig::Kind::Lru);
-    EXPECT_EQ(gd.kind, KeepAliveConfig::Kind::GreedyDual);
-    EXPECT_STREQ(lru.make()->name(), "lru");
-    EXPECT_STREQ(gd.make()->name(), "greedy-dual");
 }
 
 TEST(Startup, FpgaHotSetRecomposesOnMiss)
@@ -98,12 +82,14 @@ TEST(Startup, FpgaHotSetRecomposesOnMiss)
     runtime.start();
 
     runtime.startup().setFpgaHotSet(0, {"fpga-gzip"});
-    auto first = runtime.invokeFpgaSync("fpga-gzip", 0, 1024).value();
+    auto first = runtime.runSync(
+        runtime.invokeFpga("fpga-gzip", 0, 1024)).value();
     EXPECT_TRUE(first.coldStart);
     EXPECT_EQ(computer->fpga(0).programCount(), 1);
 
     // A miss on fpga-aml recomposes: hot set + the missed function.
-    auto second = runtime.invokeFpgaSync("fpga-aml", 0, 6000).value();
+    auto second = runtime.runSync(
+        runtime.invokeFpga("fpga-aml", 0, 6000)).value();
     EXPECT_TRUE(second.coldStart);
     EXPECT_EQ(computer->fpga(0).programCount(), 2);
     EXPECT_TRUE(runtime.deployment().runf(0).cached("fpga-gzip"));
@@ -118,19 +104,19 @@ TEST(Startup, GpuPathColdAndWarm)
     runtime.registerGpuFunction("gnn-train-step", 4_ms, 2 << 20);
     runtime.start();
 
-    auto cold = runtime.invokeGpuSync("gnn-train-step", 0).value();
+    auto cold = runtime.runSync(runtime.invokeGpu("gnn-train-step", 0)).value();
     EXPECT_TRUE(cold.coldStart);
     // Context creation + module load dominate the cold start.
     EXPECT_GT(cold.startup.toMilliseconds(), 200.0);
     EXPECT_GT(cold.execution.toMilliseconds(), 4.0);
 
-    auto warm = runtime.invokeGpuSync("gnn-train-step", 0).value();
+    auto warm = runtime.runSync(runtime.invokeGpu("gnn-train-step", 0)).value();
     EXPECT_FALSE(warm.coldStart);
     EXPECT_LT(warm.startup.toMilliseconds(), 0.1);
     // MPS keeps many modules resident: a second function does not
     // re-create the context.
     runtime.registerGpuFunction("gnn-agg", 1_ms);
-    auto other = runtime.invokeGpuSync("gnn-agg", 0).value();
+    auto other = runtime.runSync(runtime.invokeGpu("gnn-agg", 0)).value();
     EXPECT_TRUE(other.coldStart);
     EXPECT_LT(other.startup.toMilliseconds(), 50.0);
 }

@@ -71,16 +71,19 @@ emptyPlanDigest(std::uint64_t seed)
     injector.arm(InjectionPlan{});
 
     sim::Fingerprint fp;
-    auto cold = runtime.invokeSync("helloworld", 0).value();
+    auto cold = runtime.runSync(
+        runtime.invoke("helloworld", {.pu = 0})).value();
     fp.mix(std::uint64_t(cold.endToEnd.raw()));
-    auto warm = runtime.invokeSync("helloworld", 0).value();
+    auto warm = runtime.runSync(
+        runtime.invoke("helloworld", {.pu = 0})).value();
     fp.mix(std::uint64_t(warm.endToEnd.raw()));
-    auto remote = runtime.invokeSync("helloworld", 1).value();
+    auto remote = runtime.runSync(
+        runtime.invoke("helloworld", {.pu = 1})).value();
     fp.mix(std::uint64_t(remote.startup.raw()));
 
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> cross{0, 1, 0, 1, 0};
-    auto rec = runtime.invokeChainSync(spec, cross).value();
+    auto rec = runtime.runSync(runtime.invokeChain(spec, cross)).value();
     fp.mix(std::uint64_t(rec.endToEnd.raw()));
     for (const auto &edge : rec.edgeLatencies)
         fp.mix(std::uint64_t(edge.raw()));
@@ -139,9 +142,9 @@ chaosDigest(std::uint64_t seed, const InjectionPlan &plan,
     retry.maxAttempts = 3;
     for (int round = 0; round < 4; ++round) {
         retry.pu = 1;
-        track(runtime.invokeSync("helloworld", retry));
+        track(runtime.runSync(runtime.invoke("helloworld", retry)));
         retry.pu = -1;
-        track(runtime.invokeSync("image-resize", retry));
+        track(runtime.runSync(runtime.invoke("image-resize", retry)));
     }
     if (sawHang != nullptr)
         *sawHang = hang;
@@ -240,6 +243,55 @@ TEST(Chaos, NoHangUnderAnySingleFault)
             }
         }
     }
+}
+
+TEST(Chaos, GpuHostCrashIsRetriedOnTheSameGpu)
+{
+    // The GPU path runs the same attempt loop as CPU/DPU: a host
+    // crash that outlasts the first attempts is retried after backoff
+    // on the same GPU, and too few attempts end in a typed error.
+    sim::Simulation sim(42);
+    auto computer = hw::buildFullHetero(sim);
+    FaultState faults;
+    MoleculeOptions mo;
+    mo.faults = &faults;
+    Molecule runtime(*computer, mo);
+    runtime.registerGpuFunction("gnn-gather", SimTime::fromMilliseconds(3));
+    runtime.start();
+    fault::Injector injector(sim, faults);
+    const int host = computer->gpuDev(0).hostPuId();
+
+    // Down from +1 ms to +9 ms; attempts land at +2, +7 and +12 ms.
+    auto crashSoon = [&] {
+        InjectionPlan plan;
+        plan.crashPu(host, sim.now() + SimTime::milliseconds(1),
+                     SimTime::milliseconds(8));
+        injector.arm(plan);
+        sim.runUntil(sim.now() + SimTime::milliseconds(2));
+        ASSERT_FALSE(faults.puUp(host));
+    };
+    InvokeOptions retry;
+    retry.maxAttempts = 3;
+    crashSoon();
+    const auto ok =
+        runtime.runSync(runtime.invokeGpu("gnn-gather", 0, retry));
+    ASSERT_TRUE(ok.ok()) << ok.error().toString();
+    EXPECT_EQ(ok.value().attempts, 3);
+    EXPECT_EQ(ok.value().pu, host);
+    ASSERT_EQ(ok.value().pusTried.size(), 1u);
+    EXPECT_EQ(ok.value().pusTried[0], host);
+    EXPECT_FALSE(ok.value().failedOver);
+
+    retry.maxAttempts = 2;
+    crashSoon();
+    const auto failed =
+        runtime.runSync(runtime.invokeGpu("gnn-gather", 0, retry));
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.error().code(), Errc::RetriesExhausted);
+    EXPECT_EQ(failed.error().retries(), 1);
+    ASSERT_FALSE(failed.error().causes().empty());
+    EXPECT_EQ(failed.error().causes().front().code, Errc::PuCrashed);
+    EXPECT_EQ(failed.error().pusTried(), std::vector<int>{host});
 }
 
 TEST(Chaos, SameScheduleSameOutcomeDigest)

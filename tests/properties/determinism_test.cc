@@ -10,6 +10,8 @@
 #include <memory>
 
 #include "core/molecule.hh"
+#include "fault/state.hh"
+#include "obs/trace.hh"
 #include "sim/stats.hh"
 #include "sim/sweep.hh"
 #include "hw/computer.hh"
@@ -46,16 +48,19 @@ scenario(std::uint64_t seed, std::size_t *conflictsOut = nullptr)
     runtime.start();
 
     std::vector<std::int64_t> fingerprint;
-    auto cold = runtime.invokeSync("helloworld", 0).value();
+    auto cold = runtime.runSync(
+        runtime.invoke("helloworld", {.pu = 0})).value();
     fingerprint.push_back(cold.endToEnd.raw());
-    auto warm = runtime.invokeSync("helloworld", 0).value();
+    auto warm = runtime.runSync(
+        runtime.invoke("helloworld", {.pu = 0})).value();
     fingerprint.push_back(warm.endToEnd.raw());
-    auto remote = runtime.invokeSync("helloworld", 1).value();
+    auto remote = runtime.runSync(
+        runtime.invoke("helloworld", {.pu = 1})).value();
     fingerprint.push_back(remote.startup.raw());
 
     auto spec = ChainSpec::linear("alexa", Catalog::alexaChain());
     std::vector<int> cross{0, 1, 0, 1, 0};
-    auto rec = runtime.invokeChainSync(spec, cross).value();
+    auto rec = runtime.runSync(runtime.invokeChain(spec, cross)).value();
     fingerprint.push_back(rec.endToEnd.raw());
     for (const auto &edge : rec.edgeLatencies)
         fingerprint.push_back(edge.raw());
@@ -138,6 +143,89 @@ TEST(Determinism, ConflictTrackingIsCleanAndNonPerturbing)
     }
 }
 #endif
+
+#if MOLECULE_TRACING
+/**
+ * The accelerator paths on one CPU+DPU+FPGA+GPU computer, traced: an
+ * FPGA cold composition, a warm hit and a reconfiguration to a second
+ * kernel; GPU cold and warm calls on two modules; then an armed
+ * reconfiguration failure that a retry absorbs and one that exhausts
+ * every attempt. Folds each record's timings and attempts, each
+ * error's code and retry count, and the number of spans recorded
+ * (so it needs tracing compiled in).
+ */
+std::uint64_t
+acceleratorDigest(std::uint64_t seed)
+{
+    sim::Simulation sim(seed);
+    auto computer = hw::buildFullHetero(sim);
+    obs::Tracer tracer(sim, seed);
+    fault::FaultState faults;
+    MoleculeOptions mo;
+    mo.tracer = &tracer;
+    mo.faults = &faults;
+    Molecule runtime(*computer, mo);
+    runtime.registerFpgaFunction("fpga-madd");
+    runtime.registerFpgaFunction("fpga-mscale");
+    runtime.registerGpuFunction("gnn-gather",
+                                sim::SimTime::fromMilliseconds(3),
+                                8 << 20);
+    runtime.registerGpuFunction("gnn-apply",
+                                sim::SimTime::fromMilliseconds(5),
+                                4 << 20);
+    runtime.start();
+
+    sim::Fingerprint fp;
+    auto fold = [&](const core::Expected<obs::InvocationRecord> &r) {
+        if (!r.ok()) {
+            fp.mix(0xFA17EDULL);
+            fp.mix(std::uint64_t(r.error().code()));
+            fp.mix(std::uint64_t(r.error().retries()));
+            return;
+        }
+        const obs::InvocationRecord &rec = r.value();
+        fp.mix(std::uint64_t(rec.pu));
+        fp.mix(rec.coldStart ? 1 : 0);
+        fp.mixTime(rec.startup);
+        fp.mixTime(rec.execution);
+        fp.mixTime(rec.endToEnd);
+        fp.mix(std::uint64_t(rec.attempts));
+    };
+    auto fpga = [&](const char *fn, const core::InvokeOptions &opts) {
+        fold(runtime.runSync(runtime.invokeFpga(fn, 0, 4096, opts)));
+    };
+    auto gpu = [&](const char *fn) {
+        fold(runtime.runSync(runtime.invokeGpu(fn, 0)));
+    };
+
+    fpga("fpga-madd", {});   // cold composition
+    fpga("fpga-madd", {});   // warm hit
+    fpga("fpga-mscale", {}); // reconfiguration to a second kernel
+    gpu("gnn-gather");       // cold
+    gpu("gnn-gather");       // warm
+    gpu("gnn-apply");        // cold, second module
+    gpu("gnn-apply");        // warm
+
+    core::InvokeOptions retry;
+    retry.maxAttempts = 3;
+    const int hostPu = computer->fpga(0).hostPuId();
+    faults.armFpgaReconfigFailure(hostPu, 1);
+    fpga("fpga-madd", retry); // one failed programming, then success
+    faults.armFpgaReconfigFailure(hostPu, 3);
+    fpga("fpga-mscale", retry); // every attempt fails
+    fp.mix(std::uint64_t(tracer.records().size()));
+    return fp.digest();
+}
+
+// Golden accelerator digests, captured before the invocation paths
+// were unified. FPGA/GPU invocations must keep their timings, retry
+// outcomes and span counts bit for bit.
+TEST(Determinism, AcceleratorGoldenDigest)
+{
+    EXPECT_EQ(acceleratorDigest(42), 0xe1b2afc44069b709ULL);
+    EXPECT_EQ(acceleratorDigest(7), 0x4b352b29fbea1fe9ULL);
+}
+#endif // MOLECULE_TRACING
 
 TEST(Determinism, DifferentSeedsDifferOnlyInJitter)
 {

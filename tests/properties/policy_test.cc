@@ -56,7 +56,7 @@ struct Triple
 sim::Task<>
 fire(Molecule *m, std::string fn)
 {
-    (void)co_await m->invoke(fn, -1); // -1: the scheduler picks
+    (void)co_await m->invoke(fn); // the scheduler picks
 }
 
 sim::Task<>

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "core/molecule.hh"
@@ -34,9 +36,16 @@ using xpu::TransportKind;
 
 struct NipcCase
 {
+    NipcCase(TransportKind k, std::uint64_t b) : kind(k), bytes(b) {}
+
     TransportKind kind;
+    // gtest names each case by dumping the object's raw bytes, so the
+    // pad is a zeroed member: implicit padding holds stack garbage and
+    // would change the test names from run to run.
+    std::uint32_t pad = 0;
     std::uint64_t bytes;
 };
+static_assert(sizeof(NipcCase) == 16 && offsetof(NipcCase, bytes) == 8);
 
 class NipcSweep : public ::testing::TestWithParam<NipcCase>
 {
@@ -146,7 +155,7 @@ class ChainSweep : public ::testing::TestWithParam<ChainCase>
         for (int i = 0; i < length; ++i)
             placement.push_back(cross ? i % 2 : 0);
         auto spec = ChainSpec::linear("sweep", chain);
-        return runtime.invokeChainSync(spec, placement).value();
+        return runtime.runSync(runtime.invokeChain(spec, placement)).value();
     }
 };
 
@@ -198,7 +207,8 @@ class StartupSweep
         runtime.registerCpuFunction("image-resize",
                                     {PuType::HostCpu, PuType::Dpu});
         runtime.start();
-        return runtime.invokeSync("image-resize", pu).value().startup;
+        return runtime.runSync(
+            runtime.invoke("image-resize", {.pu = pu})).value().startup;
     }
 };
 
