@@ -148,6 +148,15 @@ void
 ClusterGateway::onArrival(const load::Arrival &a)
 {
     stats_.onArrival(int(a.tenant));
+    if (a.fn >= functions_.size()) {
+        // A caller-side mistake, not a node failure: a typed error
+        // charged to no node, which keeps arrivals = admitted + shed +
+        // dropped and admitted = completed + errors.
+        stats_.onAdmitted(int(a.tenant));
+        stats_.onError(-1, std::uint8_t(core::Errc::InvalidArgument),
+                       int(a.tenant));
+        return;
+    }
     if (opts_.tokensPerSecond > 0.0) {
         refill();
         if (tokens_ < 1.0) {
@@ -205,20 +214,19 @@ ClusterGateway::dispatch(const load::Arrival &a, int node)
 sim::Task<>
 ClusterGateway::serve(load::Arrival a, int node)
 {
-    auto result = co_await fleet_.node(node).invoke(
-        functions_.at(a.fn), opts_.invoke);
+    // onArrival rejected out-of-range indices, so a.fn is valid here.
+    core::Molecule &rt = fleet_.node(node);
+    const std::string &fn = functions_[a.fn];
+    const core::FunctionDef *def = rt.registry().findPtr(fn);
+    auto result = co_await rt.invoke(fn, opts_.invoke);
     sim::Simulation &sim = fleet_.simulation();
     if (result.ok()) {
         // Cross-PU serves paid the manager->worker delivery; that
         // volume is the cost model's egress term.
-        core::Molecule &rt = fleet_.node(node);
         std::uint64_t transferBytes = 0;
-        if (result.value().pu != rt.options().managerPu) {
-            const core::FunctionDef *def =
-                rt.registry().findPtr(functions_.at(a.fn));
-            if (def != nullptr && def->cpuWork != nullptr)
-                transferBytes = def->cpuWork->msgBytes;
-        }
+        if (result.value().pu != rt.options().managerPu &&
+            def != nullptr && def->cpuWork != nullptr)
+            transferBytes = def->cpuWork->msgBytes;
         stats_.onCompleted(node, result.value(), sim.now() - a.at,
                            int(a.tenant), transferBytes);
     } else {

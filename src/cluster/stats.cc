@@ -178,10 +178,12 @@ ClusterStats::onError(int n, std::uint8_t errc, int t)
     fp_.mix(std::uint64_t(t));
     TenantState &ts = tenant(t);
     ++ts.errors;
-    NodeState &ns = node(n);
+    // Node -1: rejected at the gateway, no node to charge.
+    NodeState *ns = n >= 0 ? &node(n) : nullptr;
     if (ts_ != nullptr) {
         ts_->count(ts.tsErrors);
-        ts_->count(ns.tsErrors);
+        if (ns != nullptr)
+            ts_->count(ns->tsErrors);
     }
 }
 

@@ -147,7 +147,8 @@ class ClusterStats
                      sim::SimTime endToEnd, int tenant = 0,
                      std::uint64_t transferBytes = 0);
 
-    /** A typed failure (the arrival was admitted but not served). */
+    /** A typed failure: the arrival was admitted but not served, or
+     * (@p node -1) the gateway rejected it before dispatch. */
     void onError(int node, std::uint8_t errc, int tenant = 0);
     ///@}
 

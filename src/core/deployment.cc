@@ -19,6 +19,7 @@ Deployment::Deployment(hw::Computer &computer) : computer_(computer)
         runcs_.push_back(
             std::make_unique<sandbox::RuncRuntime>(*oses_.back()));
         generalPus_.push_back(pu);
+        pusByType_[std::size_t(unit.type())].push_back(pu);
     }
     // Accelerators are managed from their host PU's virtual shim.
     for (const auto &fpga : computer_.fpgas()) {
@@ -71,16 +72,6 @@ Deployment::attachFaults(fault::FaultState *faults)
     computer_.topology().attachFaults(faults);
     for (auto &runf : runfs_)
         runf->device().attachFaults(faults);
-}
-
-std::vector<int>
-Deployment::pusOfType(hw::PuType type) const
-{
-    std::vector<int> out;
-    for (int pu : generalPus_)
-        if (computer_.pu(pu).type() == type)
-            out.push_back(pu);
-    return out;
 }
 
 } // namespace molecule::core

@@ -12,6 +12,7 @@
 #ifndef MOLECULE_CORE_DEPLOYMENT_HH
 #define MOLECULE_CORE_DEPLOYMENT_HH
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -61,8 +62,12 @@ class Deployment
     /** General-purpose PU ids (host CPU first). */
     const std::vector<int> &generalPus() const { return generalPus_; }
 
-    /** PU ids of a given type. */
-    std::vector<int> pusOfType(hw::PuType type) const;
+    /** General-purpose PU ids of a given type, ascending (cached at
+     * construction; the placement hot path reads it per decision). */
+    const std::vector<int> &pusOfType(hw::PuType type) const
+    {
+        return pusByType_[std::size_t(type)];
+    }
 
     /**
      * Wire the fault state through every layer that reacts to it:
@@ -90,6 +95,9 @@ class Deployment
     std::vector<std::unique_ptr<sandbox::RunfRuntime>> runfs_;
     std::vector<std::unique_ptr<sandbox::RungRuntime>> rungs_;
     std::vector<int> generalPus_;
+    /** generalPus_ split by hw::PuType. */
+    std::array<std::vector<int>, std::size_t(hw::PuType::GpuHost) + 1>
+        pusByType_;
 };
 
 } // namespace molecule::core

@@ -33,6 +33,15 @@ FunctionRegistry::has(const std::string &name) const
     return defs_.count(name) != 0;
 }
 
+std::string_view
+FunctionRegistry::stableName(const FunctionDef &fn) const
+{
+    auto it = defs_.find(fn.name);
+    if (it == defs_.end())
+        sim::fatal("unknown function '%s'", fn.name.c_str());
+    return it->first;
+}
+
 std::vector<const sandbox::FunctionImage *>
 FunctionRegistry::imagesForTemplates() const
 {

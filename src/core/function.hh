@@ -13,6 +13,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hw/pu.hh"
@@ -67,6 +68,15 @@ class FunctionRegistry
     const FunctionDef *findPtr(const std::string &name) const;
 
     bool has(const std::string &name) const;
+
+    /**
+     * The registry's own copy of @p fn's name (its map key). Unlike
+     * FunctionDef::name, that storage survives add() replacing the
+     * def, so a view of it stays valid as long as the registry:
+     * warm-pool and keep-alive keys hold such views instead of
+     * strings. @p fn must be registered.
+     */
+    std::string_view stableName(const FunctionDef &fn) const;
 
     std::size_t size() const { return defs_.size(); }
 

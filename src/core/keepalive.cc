@@ -16,7 +16,7 @@ double
 GreedyDualKeepAlive::parkPriority(const WarmEntryView &entry)
 {
     const auto it =
-        clock_.find(PoolKey{std::string(entry.fn), entry.pu});
+        clock_.find(PoolKey{entry.fn, entry.pu});
     const double clock = it != clock_.end() ? it->second : 0.0;
     return clock + double(entry.freq) * entry.costMs /
                        std::max(1.0, entry.sizeMb);
@@ -33,7 +33,7 @@ GreedyDualKeepAlive::score(const WarmEntryView &entry,
 void
 GreedyDualKeepAlive::onEvict(const WarmEntryView &entry)
 {
-    clock_[PoolKey{std::string(entry.fn), entry.pu}] =
+    clock_[PoolKey{entry.fn, entry.pu}] =
         entry.parkPriority;
 }
 
@@ -41,7 +41,7 @@ void
 HistogramKeepAlive::onRequest(std::string_view fn, int pu,
                               sim::SimTime now)
 {
-    Intervals &iv = intervals_[PoolKey{std::string(fn), pu}];
+    Intervals &iv = intervals_[PoolKey{fn, pu}];
     if (iv.seen && now > iv.lastSeen) {
         const std::int64_t us = (now - iv.lastSeen).raw() / 1000;
         std::size_t bucket = 0;
@@ -82,7 +82,7 @@ HistogramKeepAlive::windowOf(const Intervals &iv) const
 sim::SimTime
 HistogramKeepAlive::window(std::string_view fn, int pu) const
 {
-    const auto it = intervals_.find(PoolKey{std::string(fn), pu});
+    const auto it = intervals_.find(PoolKey{fn, pu});
     if (it == intervals_.end())
         return sim::SimTime::fromMilliseconds(opts_.defaultWindowMs);
     return windowOf(it->second);

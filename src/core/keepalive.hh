@@ -31,13 +31,21 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <utility>
 
 #include "sim/time.hh"
 
 namespace molecule::core {
+
+/**
+ * A warm pool's identity: (function name, PU). The name views the
+ * FunctionRegistry's own copy (FunctionRegistry::stableName), which
+ * outlives every pool and strategy of the runtime, so a key copies no
+ * string. Keys order by (name, PU), as the string keys they replace
+ * did; eviction tie-breaks depend on that order.
+ */
+using PoolKey = std::pair<std::string_view, int>;
 
 /** What a strategy sees of one parked (or parking) instance. */
 struct WarmEntryView
@@ -59,6 +67,8 @@ struct WarmEntryView
  * Eviction-order seam. Implementations must be pure functions of
  * their inputs and their own deterministic state — no wall clock, no
  * global RNG — so keep-alive churn stays bit-for-bit replayable.
+ * Function names arrive as registry-owned views (see PoolKey), valid
+ * for the strategy's lifetime: a strategy may key state by them.
  */
 class KeepAliveStrategy
 {
@@ -130,8 +140,6 @@ class GreedyDualKeepAlive final : public KeepAliveStrategy
     void onEvict(const WarmEntryView &entry) override;
 
   private:
-    using PoolKey = std::pair<std::string, int>;
-
     /** Greedy-dual clock per (fn, pu) pool. */
     std::map<PoolKey, double> clock_;
 };
@@ -176,8 +184,6 @@ class HistogramKeepAlive final : public KeepAliveStrategy
     sim::SimTime window(std::string_view fn, int pu) const;
 
   private:
-    using PoolKey = std::pair<std::string, int>;
-
     /** Log2-bucketed reuse intervals (microseconds). */
     struct Intervals
     {

@@ -147,11 +147,11 @@ sim::Task<Expected<obs::InvocationRecord>>
 Molecule::run(const std::string &fn, Target target,
               const InvokeOptions &opts)
 {
-    const std::string owned_fn = fn;
-    const FunctionDef *def = registry_.findPtr(owned_fn);
+    // @p fn is read only before the first suspension (task.hh rule 1);
+    // later code names the function through the registry's def.
+    const FunctionDef *def = registry_.findPtr(fn);
     if (def == nullptr)
-        co_return Error(Errc::NotFound,
-                        "unknown function '" + owned_fn + "'");
+        co_return Error(Errc::NotFound, "unknown function '" + fn + "'");
     const Expected<int> pu = rootPu(*def, target);
     if (!pu.ok())
         co_return pu.error();
@@ -161,7 +161,7 @@ Molecule::run(const std::string &fn, Target target,
     // backoff pauses between them) nest under it.
     obs::Span root = obs::Span::root(options_.tracer, "invoke",
                                      obs::Layer::Core, pu.value());
-    root.setDetail(owned_fn.c_str());
+    root.setDetail(fn.c_str());
 
     AcquiredInstance acq;
     static_assert(std::is_trivially_copyable_v<Attempt>);
@@ -185,7 +185,7 @@ Molecule::run(const std::string &fn, Target target,
         Expected<obs::InvocationRecord> r = co_await step(a);
         if (r.ok()) {
             obs::InvocationRecord rec = std::move(r.value());
-            rec.function = owned_fn;
+            rec.function = def->name;
             rec.traceId = root.traceId();
             rec.attempts = a.number;
             rec.pusTried = a.tried;
@@ -217,7 +217,7 @@ Molecule::run(const std::string &fn, Target target,
         options_.tracer->metrics().counter("invoke.failed").inc();
     if (a.number > 1 && lastErr.code() != Errc::DeadlineExceeded) {
         Error exhausted(Errc::RetriesExhausted,
-                        "'" + owned_fn + "' failed after " +
+                        "'" + def->name + "' failed after " +
                             std::to_string(a.number) + " attempts");
         exhausted.causedBy(lastErr).withRetries(a.number - 1);
         lastErr = std::move(exhausted);

@@ -1,7 +1,5 @@
 #include "core/placement.hh"
 
-#include <algorithm>
-
 namespace molecule::core {
 
 namespace {
@@ -18,18 +16,34 @@ priceBefore(const PuView &a, const PuView &b)
     return a.pu < b.pu;
 }
 
-std::vector<const PuView *>
-priceOrdered(const PlacementView &view)
+/** Least-loaded first (per core), lowest PU id on ties. */
+bool
+lighterBefore(const PuView &a, const PuView &b)
 {
-    std::vector<const PuView *> order;
-    order.reserve(view.pus().size());
+    if (a.loadPerCore() != b.loadPerCore())
+        return a.loadPerCore() < b.loadPerCore();
+    return a.pu < b.pu;
+}
+
+/**
+ * The row of @p view passing @p admit that comes first under
+ * @p before, or null: one scan, no sort, no allocation.
+ */
+template <typename Admit, typename Before>
+const PuView *
+firstBy(const PlacementView &view, Admit admit, Before before)
+{
+    const PuView *best = nullptr;
     for (const PuView &v : view.pus())
-        order.push_back(&v);
-    std::sort(order.begin(), order.end(),
-              [](const PuView *a, const PuView *b) {
-                  return priceBefore(*a, *b);
-              });
-    return order;
+        if (admit(v) && (best == nullptr || before(v, *best)))
+            best = &v;
+    return best;
+}
+
+int
+puOf(const PuView *v)
+{
+    return v != nullptr ? v->pu : -1;
 }
 
 } // namespace
@@ -39,10 +53,8 @@ PriceOrderedPolicy::place(const PlacementRequest &req,
                           const PlacementView &view)
 {
     (void)req;
-    for (const PuView *v : priceOrdered(view))
-        if (v->eligible())
-            return v->pu;
-    return -1;
+    return puOf(firstBy(
+        view, [](const PuView &v) { return v.eligible(); }, priceBefore));
 }
 
 int
@@ -50,62 +62,45 @@ LoadAwarePolicy::place(const PlacementRequest &req,
                        const PlacementView &view)
 {
     (void)req;
-    const auto order = priceOrdered(view);
-
-    // Pass 1: cheapest kind with headroom. The order is price-grouped,
-    // so scanning for the least-loaded PU within the current (price,
-    // rank) group before moving on implements "spill to the
-    // next-cheapest kind only when this one is saturated".
-    std::size_t i = 0;
-    while (i < order.size()) {
-        const double price = order[i]->price;
-        const std::uint32_t rank = order[i]->profileRank;
-        const PuView *best = nullptr;
-        for (; i < order.size() && order[i]->price == price &&
-               order[i]->profileRank == rank;
-             ++i) {
-            const PuView *v = order[i];
-            if (!v->eligible() ||
-                v->loadPerCore() >= opts_.spillThreshold)
-                continue;
-            if (best == nullptr ||
-                v->loadPerCore() < best->loadPerCore())
-                best = v;
-        }
-        if (best != nullptr)
-            return best->pu;
-    }
-
+    // Pass 1: the cheapest (price, rank) kind with headroom, least
+    // loaded PU within it — "spill to the next-cheapest kind only when
+    // this one is saturated".
+    const PuView *best = firstBy(
+        view,
+        [this](const PuView &v) {
+            return v.eligible() && v.loadPerCore() < opts_.spillThreshold;
+        },
+        [](const PuView &a, const PuView &b) {
+            if (a.price != b.price)
+                return a.price < b.price;
+            if (a.profileRank != b.profileRank)
+                return a.profileRank < b.profileRank;
+            return lighterBefore(a, b);
+        });
+    if (best != nullptr)
+        return best->pu;
     // Pass 2: every kind saturated — the globally least-loaded
-    // eligible PU absorbs the overflow (lowest id ties, via the
-    // price-ordered scan order and strict improvement).
-    const PuView *best = nullptr;
-    for (const PuView &v : view.pus()) {
-        if (!v.eligible())
-            continue;
-        if (best == nullptr || v.loadPerCore() < best->loadPerCore() ||
-            (v.loadPerCore() == best->loadPerCore() && v.pu < best->pu))
-            best = &v;
-    }
-    return best != nullptr ? best->pu : -1;
+    // eligible PU absorbs the overflow.
+    return puOf(firstBy(
+        view, [](const PuView &v) { return v.eligible(); }, lighterBefore));
 }
 
 int
 LocalityAffinityPolicy::place(const PlacementRequest &req,
                               const PlacementView &view)
 {
-    const PuView *warm = nullptr;
-    for (const PuView &v : view.pus()) {
-        if (!v.eligible() || v.warmSandboxes == 0 ||
-            v.loadPerCore() >= opts_.loadBarrier)
-            continue;
-        const bool better =
-            warm == nullptr || v.warmSandboxes > warm->warmSandboxes ||
-            (v.warmSandboxes == warm->warmSandboxes &&
-             priceBefore(v, *warm));
-        if (better)
-            warm = &v;
-    }
+    // Most warm entries first; price order breaks ties.
+    const PuView *warm = firstBy(
+        view,
+        [this](const PuView &v) {
+            return v.eligible() && v.warmSandboxes > 0 &&
+                   v.loadPerCore() < opts_.loadBarrier;
+        },
+        [](const PuView &a, const PuView &b) {
+            if (a.warmSandboxes != b.warmSandboxes)
+                return a.warmSandboxes > b.warmSandboxes;
+            return priceBefore(a, b);
+        });
     if (warm != nullptr)
         return warm->pu;
     return fallback_.place(req, view);

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "core/function.hh"
 #include "hw/pu.hh"
@@ -94,22 +93,21 @@ struct PuView
 
 /**
  * The scheduler-built snapshot: one PuView per PU the function's
- * profiles allow, ascending PU id. Views are constructed fresh per
- * request — policies must not retain pointers into one.
+ * profiles allow, ascending PU id. Non-owning: it views rows the
+ * scheduler refills for every request, so policies must not retain
+ * it, or pointers into it, past place().
  */
 class PlacementView
 {
   public:
-    explicit PlacementView(std::vector<PuView> pus)
-        : pus_(std::move(pus))
-    {}
+    explicit PlacementView(std::span<const PuView> pus) : pus_(pus) {}
 
     std::span<const PuView> pus() const { return pus_; }
 
     bool empty() const { return pus_.empty(); }
 
   private:
-    std::vector<PuView> pus_;
+    std::span<const PuView> pus_;
 };
 
 /**

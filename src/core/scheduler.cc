@@ -13,8 +13,7 @@ Scheduler::admissibleBytes(int pu) const
 }
 
 PlacementView
-Scheduler::view(const FunctionDef &fn,
-                std::span<const int> exclude) const
+Scheduler::view(const FunctionDef &fn, std::span<const int> exclude)
 {
     const std::uint64_t need =
         fn.cpuWork ? fn.cpuWork->image.mem.privateBytes +
@@ -23,7 +22,8 @@ Scheduler::view(const FunctionDef &fn,
     const sim::SimTime now = dep_.simulation().now();
     const fault::FaultState *faults = dep_.faults();
 
-    std::vector<PuView> pus;
+    std::vector<PuView> &pus = viewRows_;
+    pus.clear();
     // One view row per PU an allowed profile covers; the first profile
     // of a kind (registration order) prices that kind's rows.
     for (std::uint32_t rank = 0; rank < fn.profiles.size(); ++rank) {
@@ -66,7 +66,7 @@ Scheduler::view(const FunctionDef &fn,
               [](const PuView &a, const PuView &b) {
                   return a.pu < b.pu;
               });
-    return PlacementView(std::move(pus));
+    return PlacementView(pus);
 }
 
 int

@@ -49,10 +49,14 @@ class Scheduler
      */
     int place(const FunctionDef &fn, std::span<const int> exclude = {});
 
-    /** Snapshot the decision inputs for @p fn (also used by tests to
-     * audit exactly what a policy saw). */
+    /**
+     * Snapshot the decision inputs for @p fn (also used by tests to
+     * audit exactly what a policy saw). The rows live in a buffer the
+     * scheduler reuses: the view is valid until the next view() or
+     * place() call.
+     */
     PlacementView view(const FunctionDef &fn,
-                       std::span<const int> exclude = {}) const;
+                       std::span<const int> exclude = {});
 
     /**
      * Place a whole chain: all nodes on one PU when a single PU allows
@@ -114,6 +118,8 @@ class Scheduler
     std::unique_ptr<PlacementPolicy> policy_;
     /** outstanding_[pu]; grown on demand. */
     std::vector<int> outstanding_;
+    /** Rows of the latest view(); cleared, never shrunk, per request. */
+    std::vector<PuView> viewRows_;
     sim::Fingerprint placeFp_;
     /** Each decision consumes admission headroom other same-tick
      * decisions also saw: ordering is pure event tie-break, so the

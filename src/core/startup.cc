@@ -133,13 +133,13 @@ StartupManager::acquire(const FunctionDef &fn, int pu, int managerPu,
     auto &sim = dep_.simulation();
     const auto t0 = sim.now();
     obs::Span span(ctx, "startup", obs::Layer::Core, pu);
-    const PoolKey key{fn.name, pu};
+    const PoolKey key{registry_.stableName(fn), pu};
 
     ++freq_[key];
-    strategy_->onRequest(fn.name, pu, sim.now());
+    strategy_->onRequest(key.first, pu, sim.now());
     auto poolIt = warmPools_.find(key);
     while (poolIt != warmPools_.end() && !poolIt->second.empty()) {
-        WarmEntry entry = poolIt->second.front();
+        WarmEntry entry = std::move(poolIt->second.front());
         poolIt->second.pop_front();
         AcquiredInstance out;
         out.instance = dep_.runcOn(pu).find(entry.sandboxId);
@@ -194,7 +194,7 @@ StartupManager::release(const FunctionDef &fn, AcquiredInstance inst)
 {
     if (!inst.instance)
         co_return;
-    const PoolKey key{fn.name, inst.pu};
+    const PoolKey key{registry_.stableName(fn), inst.pu};
     WarmEntry entry;
     entry.sandboxId = inst.instance->id;
     entry.lastUsed = dep_.simulation().now();
@@ -235,7 +235,7 @@ StartupManager::evictIfNeeded(const PoolKey &key)
                 victimScore = s;
             }
         }
-        const WarmEntry evicted = pool[victim];
+        const WarmEntry evicted = std::move(pool[victim]);
         pool.erase(pool.begin() + std::ptrdiff_t(victim));
         noteEviction(key, evicted);
         co_await dep_.runcOn(key.second).destroy(evicted.sandboxId);
@@ -281,7 +281,7 @@ StartupManager::evictGlobal(int pu)
         if (!found)
             co_return;
         auto &pool = warmPools_[victimKey];
-        const WarmEntry evicted = pool[victimIdx];
+        const WarmEntry evicted = std::move(pool[victimIdx]);
         pool.erase(pool.begin() + std::ptrdiff_t(victimIdx));
         noteEviction(victimKey, evicted);
         co_await dep_.runcOn(pu).destroy(evicted.sandboxId);
@@ -407,7 +407,7 @@ StartupManager::gpuImage(const FunctionDef &fn)
 }
 
 std::size_t
-StartupManager::warmCount(const std::string &fn, int pu) const
+StartupManager::warmCount(std::string_view fn, int pu) const
 {
     auto it = warmPools_.find(PoolKey{fn, pu});
     return it == warmPools_.end() ? 0 : it->second.size();
@@ -422,7 +422,7 @@ StartupManager::purgePu(int pu)
 }
 
 void
-StartupManager::purgeFunction(const std::string &fn, int pu)
+StartupManager::purgeFunction(std::string_view fn, int pu)
 {
     auto it = warmPools_.find(PoolKey{fn, pu});
     if (it != warmPools_.end())

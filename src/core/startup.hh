@@ -24,6 +24,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/deployment.hh"
 #include "core/function.hh"
@@ -136,7 +137,7 @@ class StartupManager
     void purgePu(int pu);
 
     /** Drop the warm pool of (@p fn, @p pu) after an OOM kill. */
-    void purgeFunction(const std::string &fn, int pu);
+    void purgeFunction(std::string_view fn, int pu);
 
     /**
      * Re-warm a restarted PU: re-prepare the cfork templates and the
@@ -145,8 +146,8 @@ class StartupManager
     sim::Task<> rewarmPu(int pu, obs::SpanContext ctx = {});
     ///@}
 
-    /** Warm-pool depth for (fn, pu) (tests). */
-    std::size_t warmCount(const std::string &fn, int pu) const;
+    /** Warm-pool depth for (fn, pu) (placement views, tests). */
+    std::size_t warmCount(std::string_view fn, int pu) const;
 
     /** Total cold starts performed (stats). */
     std::int64_t coldStarts() const { return coldStarts_; }
@@ -190,8 +191,6 @@ class StartupManager
         /** Strategy priority stamped at park time. */
         double parkPriority = 0.0;
     };
-
-    using PoolKey = std::pair<std::string, int>;
 
     /** Charge the manager->executor command round-trip over nIPC. */
     sim::Task<> commandRoundTrip(int managerPu, int targetPu,

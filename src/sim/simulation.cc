@@ -18,6 +18,7 @@ constexpr std::size_t kDrainChunk = 1024;
 SimTime
 Simulation::run()
 {
+    FramePool::Scope active(frames_);
 #if MOLECULE_DETERMINISM_ANALYSIS
     // The conflict detector needs the per-event begin/scope hooks that
     // step() installs, so tracked runs take the slow path.
@@ -36,6 +37,7 @@ Simulation::run()
 SimTime
 Simulation::runUntil(SimTime deadline)
 {
+    FramePool::Scope active(frames_);
 #if MOLECULE_DETERMINISM_ANALYSIS
     if (log_) {
         while (!events_.empty() && events_.nextTime() <= deadline)
@@ -57,6 +59,7 @@ Simulation::step()
 {
     if (events_.empty())
         return false;
+    FramePool::Scope active(frames_);
     // Advance the clock *before* running the callback so resumed
     // coroutines observe the firing time.
     now_ = events_.nextTime();

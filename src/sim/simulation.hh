@@ -82,10 +82,18 @@ class Simulation
         return events_.cancel(id);
     }
 
+    /**
+     * Per-simulation recycler of coroutine frames: frames created while
+     * this simulation runs (run, runUntil, step, spawn) draw from it;
+     * see task.hh for the lifetime rules.
+     */
+    const FramePool &framePool() const { return frames_; }
+
     /** Start a root task; its frame self-destroys when it completes. */
     void
     spawn(Task<> task)
     {
+        FramePool::Scope active(frames_);
         task.detachAndStart();
     }
 
@@ -216,6 +224,9 @@ class Simulation
 #endif
     }
 
+    /** First member, so it outlives every queued callback that may
+     * still own a pooled frame. */
+    FramePool frames_;
     EventQueue events_;
     SimTime now_{0};
     Rng rng_;

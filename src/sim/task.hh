@@ -43,16 +43,33 @@
  * `c ? co_await a : co_await b` initializer stays sound). The value
  * lives until the end of the full-expression, so copy or move it out
  * (`auto v = co_await f();`) and never bind a reference to it.
+ *
+ * Frames are recycled, not freed: a frame created while a Simulation
+ * runs (inside run(), runUntil(), step() or spawn()) comes from that
+ * simulation's FramePool and goes back to it when destroyed, so the
+ * steady-state invoke path allocates no frames. Frames created outside
+ * any run come from the heap. Lifetime rules (DESIGN.md §4d):
+ *  - a frame created during a run must not be destroyed after its
+ *    Simulation (the pool that owns its block is gone);
+ *  - frames still suspended when their Simulation dies leak, as they
+ *    always did; the pool frees only the blocks it has cached.
  */
 
 #ifndef MOLECULE_SIM_TASK_HH
 #define MOLECULE_SIM_TASK_HH
 
+#include <array>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <type_traits>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "sim/logging.hh"
 
@@ -60,6 +77,169 @@ namespace molecule::sim {
 
 template <typename T>
 class Task;
+
+/**
+ * Size-class free lists for coroutine frames, owned by one Simulation.
+ *
+ * Every task frame carries a 16-byte header naming the pool its block
+ * came from (null: the heap), so a frame always returns to where it
+ * was allocated, whichever pool is active when it dies. Blocks are
+ * rounded up to 16-byte classes; frames past kMaxPooledBytes always
+ * use the heap. Not thread-safe: a pool serves the one thread that
+ * runs its Simulation (SweepRunner lanes each own one). Under
+ * AddressSanitizer cached blocks are poisoned, so touching a destroyed
+ * frame is still reported.
+ */
+class FramePool
+{
+  public:
+    /** Size-class step and header size (keeps frames 16-aligned). */
+    static constexpr std::size_t kGranule = 16;
+    /** Largest pooled block, header included. */
+    static constexpr std::size_t kMaxPooledBytes = 4096;
+
+    FramePool() = default;
+    FramePool(const FramePool &) = delete;
+    FramePool &operator=(const FramePool &) = delete;
+
+    ~FramePool()
+    {
+        for (std::size_t c = 0; c < free_.size(); ++c) {
+            while (FreeBlock *b = free_[c]) {
+                unpoison(b, classBytes(c));
+                free_[c] = b->next;
+                ::operator delete(b, classBytes(c));
+            }
+        }
+    }
+
+    /** Makes @p pool the active one for a scope; restores the previous
+     * on exit, so nested runs of different simulations compose. */
+    class Scope
+    {
+      public:
+        explicit Scope(FramePool &pool) : prev_(tActive)
+        {
+            tActive = &pool;
+        }
+
+        Scope(const Scope &) = delete;
+        Scope &operator=(const Scope &) = delete;
+
+        ~Scope() { tActive = prev_; }
+
+      private:
+        FramePool *prev_;
+    };
+
+    /** Blocks this pool took from the heap (diagnostics, tests). */
+    std::size_t blocksAllocated() const { return allocated_; }
+
+    /** Blocks parked for reuse right now (diagnostics, tests). */
+    std::size_t blocksCached() const { return cached_; }
+
+    /** Frame allocation: from the active pool, else from the heap. */
+    static void *
+    allocateFrame(std::size_t frameBytes)
+    {
+        const std::size_t bytes = frameBytes + kGranule;
+        FramePool *pool = bytes <= kMaxPooledBytes ? tActive : nullptr;
+        void *block = pool != nullptr ? pool->take(classOf(bytes))
+                                      : ::operator new(bytes);
+        ::new (block) Header{pool};
+        return static_cast<std::byte *>(block) + kGranule;
+    }
+
+    /** Frame release: back to the pool named in the header. */
+    static void
+    freeFrame(void *frame, std::size_t frameBytes) noexcept
+    {
+        void *block = static_cast<std::byte *>(frame) - kGranule;
+        const std::size_t bytes = frameBytes + kGranule;
+        if (FramePool *owner = static_cast<Header *>(block)->owner)
+            owner->give(block, classOf(bytes));
+        else
+            ::operator delete(block, bytes);
+    }
+
+  private:
+    struct alignas(kGranule) Header
+    {
+        FramePool *owner;
+    };
+    static_assert(sizeof(Header) == kGranule);
+
+    struct FreeBlock
+    {
+        FreeBlock *next;
+    };
+
+    static constexpr std::size_t
+    classOf(std::size_t bytes)
+    {
+        return (bytes - 1) / kGranule;
+    }
+
+    static constexpr std::size_t
+    classBytes(std::size_t c)
+    {
+        return (c + 1) * kGranule;
+    }
+
+    /** Cached blocks are off limits to everyone but the pool. */
+    static void
+    poison(void *block, std::size_t bytes)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_POISON_MEMORY_REGION(block, bytes);
+#else
+        (void)block;
+        (void)bytes;
+#endif
+    }
+
+    static void
+    unpoison(void *block, std::size_t bytes)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_UNPOISON_MEMORY_REGION(block, bytes);
+#else
+        (void)block;
+        (void)bytes;
+#endif
+    }
+
+    void *
+    take(std::size_t c)
+    {
+        FreeBlock *b = free_[c];
+        if (b == nullptr) {
+            ++allocated_;
+            return ::operator new(classBytes(c));
+        }
+        unpoison(b, classBytes(c));
+        free_[c] = b->next;
+        --cached_;
+        return b;
+    }
+
+    void
+    give(void *block, std::size_t c) noexcept
+    {
+        auto *b = ::new (block) FreeBlock{free_[c]};
+        free_[c] = b;
+        ++cached_;
+        poison(b, classBytes(c));
+    }
+
+    /** The pool of the simulation running on this thread. A plain
+     * pointer, constant-initialized: no per-thread constructor. */
+    static inline constinit thread_local FramePool *tActive = nullptr;
+
+    std::array<FreeBlock *, kMaxPooledBytes / kGranule> free_{};
+    std::size_t allocated_ = 0;
+    std::size_t cached_ = 0;
+};
 
 namespace detail {
 
@@ -71,6 +251,19 @@ struct PromiseBase
     /** Detached tasks self-destroy at final suspend. */
     bool detached = false;
     std::exception_ptr exception{};
+
+    /** Frames come from the running simulation's FramePool. */
+    static void *
+    operator new(std::size_t bytes)
+    {
+        return FramePool::allocateFrame(bytes);
+    }
+
+    static void
+    operator delete(void *frame, std::size_t bytes) noexcept
+    {
+        FramePool::freeFrame(frame, bytes);
+    }
 
     std::suspend_always
     initial_suspend() noexcept

@@ -231,4 +231,29 @@ TEST(ClusterGatewayTest, UtilizationIsChargedPerPu)
     EXPECT_GT(total, 0.0);
 }
 
+TEST(ClusterGatewayTest, UnknownFunctionIndexIsATypedError)
+{
+    // An index past GatewayConfig::functions used to throw from
+    // functions_.at() inside a detached serve task, which panics.
+    Harness h;
+    cluster::GatewayConfig cfg = cluster::GatewayConfig::forFunctions(
+        {"helloworld", "pyaes"}, h.stats);
+    ClusterGateway gateway(h.fleet, cfg);
+    const SimTime t0 = h.sim.now();
+    gateway.onArrival(arrival(0));
+    gateway.onArrival(arrival(7));
+    gateway.onArrival(arrival(1));
+    h.sim.run();
+    EXPECT_TRUE(gateway.idle());
+    const auto s = h.stats.summarize(h.sim.now() - t0,
+                                     h.fleet.coreTable());
+    EXPECT_EQ(s.arrivals, 3);
+    EXPECT_EQ(s.completed, 2);
+    EXPECT_EQ(s.errors, 1);
+    EXPECT_EQ(s.arrivals, s.admitted + s.shed + s.dropped);
+    EXPECT_EQ(s.admitted, s.completed + s.errors);
+    for (const auto &u : s.utilization)
+        EXPECT_GE(u.node, 0) << "no node is charged for the rejection";
+}
+
 } // namespace

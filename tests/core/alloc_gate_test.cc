@@ -1,0 +1,161 @@
+/**
+ * @file
+ * Exact allocation gate for the warm invocation path.
+ *
+ * This binary replaces the global operator new with a counting one and
+ * drives a small warm, single-node scenario: closed-loop clients
+ * invoking one CPU/DPU function on a CPU+DPU server. Heap allocations
+ * are a deterministic count, so the gates are hard, with no tolerance:
+ *  - in steady state a warm completion allocates at most once (coroutine
+ *    frames come from the simulation's FramePool, placement reuses the
+ *    scheduler's view buffer, warm-pool keys copy no strings);
+ *  - a second fresh Simulation on the same thread allocates exactly as
+ *    much as the first (no thread-lifetime cache makes later runs
+ *    cheaper than earlier ones).
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "core/molecule.hh"
+#include "hw/computer.hh"
+
+namespace {
+
+std::atomic<std::uint64_t> gAllocs{0};
+
+void *
+counted(std::size_t n)
+{
+    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+countedAligned(std::size_t n, std::align_val_t al)
+{
+    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t align = std::size_t(al);
+    const std::size_t size = (n + align - 1) / align * align;
+    if (void *p = std::aligned_alloc(align, size == 0 ? align : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+// The nothrow forms forward to these in libstdc++, so they count too.
+void *operator new(std::size_t n) { return counted(n); }
+void *operator new[](std::size_t n) { return counted(n); }
+void *operator new(std::size_t n, std::align_val_t al)
+{
+    return countedAligned(n, al);
+}
+void *operator new[](std::size_t n, std::align_val_t al)
+{
+    return countedAligned(n, al);
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+namespace {
+
+using namespace molecule;
+
+constexpr int kClients = 4;
+constexpr int kWarmupPerClient = 50;
+constexpr int kSteadyPerClient = 500;
+
+/** Closed loop: @p n back-to-back invocations of helloworld. */
+sim::Task<>
+client(core::Molecule &rt, int n, std::int64_t *completed)
+{
+    const std::string fn = "helloworld"; // short: no heap string
+    for (int i = 0; i < n; ++i) {
+        auto r = co_await rt.invoke(fn);
+        if (r.ok() && !r.value().coldStart)
+            ++*completed;
+    }
+}
+
+struct GateRun
+{
+    /** Allocations of the whole scenario, setup and teardown included. */
+    std::uint64_t total = 0;
+    /** Allocations of the steady-state phase only. */
+    std::uint64_t steady = 0;
+    /** Warm completions of the steady-state phase. */
+    std::int64_t warmCompletions = 0;
+};
+
+GateRun
+runScenario()
+{
+    GateRun out;
+    const std::uint64_t start = gAllocs.load();
+    {
+        sim::Simulation sim;
+        auto computer = hw::buildCpuDpuServer(sim, 2, hw::DpuGeneration::Bf1);
+        core::Molecule rt(*computer, core::MoleculeOptions{});
+        rt.registerCpuFunction("helloworld",
+                               {hw::PuType::HostCpu, hw::PuType::Dpu});
+        rt.start();
+
+        // Warm-up: cold starts, pool and buffer growth.
+        std::int64_t warm = 0;
+        for (int c = 0; c < kClients; ++c)
+            sim.spawn(client(rt, kWarmupPerClient, &warm));
+        sim.run();
+
+        const std::uint64_t before = gAllocs.load();
+        for (int c = 0; c < kClients; ++c)
+            sim.spawn(client(rt, kSteadyPerClient, &out.warmCompletions));
+        sim.run();
+        out.steady = gAllocs.load() - before;
+    }
+    out.total = gAllocs.load() - start;
+    return out;
+}
+
+TEST(AllocGate, WarmCompletionAllocatesAtMostOnce)
+{
+    const GateRun run = runScenario();
+    RecordProperty("steady_allocs", std::to_string(run.steady));
+    ASSERT_EQ(run.warmCompletions, kClients * kSteadyPerClient)
+        << "every steady-state invocation must be a warm completion";
+    EXPECT_LE(run.steady, std::uint64_t(run.warmCompletions))
+        << double(run.steady) / double(run.warmCompletions)
+        << " allocations per warm completion";
+}
+
+TEST(AllocGate, FreshSimulationAllocatesExactlyAsMany)
+{
+    const GateRun first = runScenario();
+    const GateRun second = runScenario();
+    EXPECT_EQ(first.total, second.total);
+    EXPECT_EQ(first.steady, second.steady);
+    EXPECT_EQ(first.warmCompletions, second.warmCompletions);
+}
+
+} // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the placement-policy seam: the three shipped
- * strategies over synthetic PlacementViews, plus the DPU-saturation
- * spill regression on the real runtime (the pickPu-never-spills bug
- * the load-aware policy exists to fix).
+ * strategies over synthetic PlacementViews (non-owning views of
+ * test-owned rows), the scheduler's reused view buffer, plus the
+ * DPU-saturation spill regression on the real runtime (the
+ * pickPu-never-spills bug the load-aware policy exists to fix).
  */
 
 #include <gtest/gtest.h>
@@ -62,10 +63,29 @@ anyRequest()
     return req;
 }
 
+TEST(PlacementView, ViewsTheCallersRowsWithoutCopying)
+{
+    const auto views = cpuDpuViews();
+    const PlacementView v(views);
+    EXPECT_EQ(v.pus().data(), views.data());
+    EXPECT_EQ(v.pus().size(), views.size());
+    EXPECT_TRUE(PlacementView({}).empty());
+}
+
 TEST(PriceOrdered, CheapestKindLowestIdWins)
 {
+    const auto views = cpuDpuViews();
     PriceOrderedPolicy p;
-    EXPECT_EQ(p.place(anyRequest(), PlacementView(cpuDpuViews())), 1);
+    EXPECT_EQ(p.place(anyRequest(), PlacementView(views)), 1);
+}
+
+TEST(PriceOrdered, RegistrationOrderBreaksPriceTies)
+{
+    // Equal prices: the DPU profile (rank 0) beats the lower PU id.
+    auto views = cpuDpuViews();
+    views[0].price = views[1].price = views[2].price = 0.5;
+    PriceOrderedPolicy p;
+    EXPECT_EQ(p.place(anyRequest(), PlacementView(views)), 1);
 }
 
 TEST(PriceOrdered, IgnoresLoadByDesign)
@@ -160,8 +180,9 @@ TEST(Locality, AffinityAbandonedPastLoadBarrier)
 
 TEST(Locality, ColdStartFallsBackToLoadAware)
 {
+    const auto views = cpuDpuViews();
     LocalityAffinityPolicy p;
-    EXPECT_EQ(p.place(anyRequest(), PlacementView(cpuDpuViews())), 1);
+    EXPECT_EQ(p.place(anyRequest(), PlacementView(views)), 1);
 }
 
 TEST(PlacementConfig, MakeBuildsTheSelectedPolicy)
@@ -253,6 +274,62 @@ TEST_F(SpillFixture, ConcurrentBurstLandsOnHostAndDpu)
     EXPECT_EQ(hostRuns + dpuRuns, 80);
     EXPECT_GT(hostRuns, 0) << "overflow must spill to the host";
     EXPECT_GT(dpuRuns, 0) << "the cheap kind must still be used";
+}
+
+// ---------------------------------------------------------------------
+// The scheduler refills one row buffer per decision: back-to-back
+// decisions for functions with different profile sets must each see
+// only their own rows, never leftovers of a longer previous view.
+// ---------------------------------------------------------------------
+
+/** Copies every view it is shown, then defers to the price heuristic. */
+class RecordingPolicy final : public core::PlacementPolicy
+{
+  public:
+    explicit RecordingPolicy(std::vector<std::vector<PuView>> *seen)
+        : seen_(seen)
+    {}
+
+    const char *name() const override { return "recording"; }
+
+    int
+    place(const PlacementRequest &req, const PlacementView &view) override
+    {
+        seen_->emplace_back(view.pus().begin(), view.pus().end());
+        return inner_.place(req, view);
+    }
+
+  private:
+    std::vector<std::vector<PuView>> *seen_;
+    PriceOrderedPolicy inner_;
+};
+
+TEST_F(SpillFixture, BackToBackViewsHoldOnlyTheirOwnRows)
+{
+    auto rt = makeRuntime(PlacementConfig::priceOrdered());
+    rt->registerCpuFunction("image-resize", {PuType::HostCpu});
+    std::vector<std::vector<PuView>> seen;
+    rt->scheduler().installPlacement(
+        std::make_unique<RecordingPolicy>(&seen));
+    const auto &cpuOnly = rt->registry().find("image-resize");
+    const auto &both = rt->registry().find("helloworld");
+
+    EXPECT_EQ(rt->scheduler().place(cpuOnly), 0);
+    EXPECT_EQ(rt->scheduler().place(both), 1);
+    EXPECT_EQ(rt->scheduler().place(cpuOnly), 0);
+
+    ASSERT_EQ(seen.size(), 3u);
+    for (const std::size_t i : {0u, 2u}) {
+        ASSERT_EQ(seen[i].size(), 1u) << "decision " << i;
+        EXPECT_EQ(seen[i][0].pu, 0);
+        EXPECT_EQ(seen[i][0].kind, PuType::HostCpu);
+    }
+    ASSERT_EQ(seen[1].size(), 3u);
+    for (int pu = 0; pu < 3; ++pu)
+        EXPECT_EQ(seen[1][std::size_t(pu)].pu, pu);
+    EXPECT_EQ(seen[1][0].kind, PuType::HostCpu);
+    EXPECT_EQ(seen[1][1].kind, PuType::Dpu);
+    EXPECT_EQ(seen[1][2].kind, PuType::Dpu);
 }
 
 } // namespace

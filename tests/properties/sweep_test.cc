@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 
 #include "core/molecule.hh"
 #include "hw/computer.hh"
@@ -130,6 +131,17 @@ struct ChainCase
     int length;
     bool cross; // alternate CPU/DPU placement
 };
+
+/**
+ * Stable ctest names (.../len2_same, .../len4_cross): gtest_discover_tests
+ * names each case by its printed value, and the default printer dumps
+ * the raw bytes, padding included.
+ */
+void
+PrintTo(const ChainCase &c, std::ostream *os)
+{
+    *os << "len" << c.length << (c.cross ? "_cross" : "_same");
+}
 
 class ChainSweep : public ::testing::TestWithParam<ChainCase>
 {

@@ -2,16 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.hh"
+#include "sim/sweep.hh"
 #include "sim/task.hh"
 
 namespace {
 
 using molecule::sim::Simulation;
 using molecule::sim::SimTime;
+using molecule::sim::SweepRunner;
 using molecule::sim::Task;
 using namespace molecule::sim::literals;
 
@@ -193,5 +199,165 @@ TEST(Simulation, ScheduleAndCancel)
     sim.run();
     EXPECT_EQ(fired, 1);
 }
+
+// ---------------------------------------------------------------------
+// Frame pool: frames created during a run come from the simulation's
+// own FramePool and go back to the pool they came from.
+// ---------------------------------------------------------------------
+
+/** Records the awaiting coroutine's frame address, without suspending. */
+struct FrameAddress
+{
+    const void **out;
+
+    bool await_ready() const noexcept { return false; }
+
+    bool
+    await_suspend(std::coroutine_handle<> h) noexcept
+    {
+        *out = h.address();
+        return false;
+    }
+
+    void await_resume() const noexcept {}
+};
+
+Task<>
+frameProbe(Simulation &sim, std::vector<const void *> *frames)
+{
+    const void *self = nullptr;
+    co_await FrameAddress{&self};
+    frames->push_back(self);
+    co_await sim.delay(1_us);
+}
+
+Task<>
+probeLoop(Simulation &sim, int n, std::vector<const void *> *frames)
+{
+    for (int i = 0; i < n; ++i)
+        co_await frameProbe(sim, frames);
+}
+
+std::set<const void *>
+distinct(const std::vector<const void *> &frames)
+{
+    return {frames.begin(), frames.end()};
+}
+
+TEST(FramePool, FramesAreReusedWithinOneSimulation)
+{
+    Simulation sim;
+    std::vector<const void *> frames;
+    sim.spawn(probeLoop(sim, 100, &frames));
+    sim.run();
+    ASSERT_EQ(frames.size(), 100u);
+    // Each child dies before the next is created: one block serves all.
+    EXPECT_EQ(distinct(frames).size(), 1u);
+    EXPECT_EQ(sim.framePool().blocksAllocated(), 1u);
+    EXPECT_EQ(sim.framePool().blocksCached(), 1u);
+}
+
+TEST(FramePool, TaskCreatedOutsideARunUsesTheHeap)
+{
+    Simulation sim;
+    std::vector<const void *> frames;
+    Task<> t = frameProbe(sim, &frames); // no run active: heap frame
+    sim.spawn(std::move(t));
+    sim.run(); // completes, and is freed, inside the run
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(sim.framePool().blocksAllocated(), 0u);
+    EXPECT_EQ(sim.framePool().blocksCached(), 0u);
+}
+
+TEST(FramePool, TwoSimulationsOnOneThreadNeverShareBlocks)
+{
+    Simulation a(1), b(2);
+    std::vector<const void *> fa, fb;
+    a.spawn(probeLoop(a, 20, &fa));
+    b.spawn(probeLoop(b, 20, &fb));
+    for (bool more = true; more;) {
+        const bool ranA = a.step();
+        const bool ranB = b.step();
+        more = ranA || ranB;
+    }
+    ASSERT_EQ(fa.size(), 20u);
+    ASSERT_EQ(fb.size(), 20u);
+    const auto sa = distinct(fa), sb = distinct(fb);
+    EXPECT_EQ(sa.size(), 1u);
+    EXPECT_EQ(sb.size(), 1u);
+    EXPECT_NE(*sa.begin(), *sb.begin());
+    EXPECT_EQ(a.framePool().blocksAllocated(), 1u);
+    EXPECT_EQ(b.framePool().blocksAllocated(), 1u);
+}
+
+Task<>
+stash(Simulation &sim, Task<> *out, std::vector<const void *> *frames)
+{
+    *out = frameProbe(sim, frames); // created, never started
+    co_return;
+}
+
+Task<>
+drop(Task<> *victim)
+{
+    Task<> dying = std::move(*victim);
+    co_return;
+}
+
+TEST(FramePool, FrameReturnsToThePoolItCameFrom)
+{
+    Simulation a(1), b(2);
+    std::vector<const void *> frames;
+    Task<> held;
+    a.spawn(stash(a, &held, &frames));
+    ASSERT_TRUE(held.valid());
+    EXPECT_EQ(a.framePool().blocksAllocated(), 1u);
+    EXPECT_EQ(a.framePool().blocksCached(), 0u);
+    // Destroyed while b is the active pool: the header sends it home.
+    b.spawn(drop(&held));
+    EXPECT_FALSE(held.valid());
+    EXPECT_EQ(a.framePool().blocksCached(), 1u);
+    EXPECT_EQ(b.framePool().blocksCached(), 0u);
+    EXPECT_EQ(b.framePool().blocksAllocated(), 0u);
+}
+
+TEST(FramePool, SweepLanesEachUseTheirOwnPool)
+{
+    SweepRunner runner(4);
+    using Counts = std::pair<std::size_t, std::size_t>;
+    const auto counts = runner.map<Counts>(16, [](std::size_t i) {
+        Simulation sim(i);
+        std::vector<const void *> frames;
+        for (int c = 0; c < 3; ++c)
+            sim.spawn(probeLoop(sim, 50 + int(i), &frames));
+        sim.run();
+        return Counts{sim.framePool().blocksAllocated(),
+                      sim.framePool().blocksCached()};
+    });
+    // Three concurrent loops need three blocks, in every lane: a pool
+    // shared across lanes would hand out more, or fewer, and race.
+    for (const Counts &c : counts) {
+        EXPECT_EQ(c.first, 3u);
+        EXPECT_EQ(c.second, 3u);
+    }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(FramePoolDeathTest, UseOfADestroyedPooledFrameIsReported)
+{
+    EXPECT_DEATH(
+        {
+            Simulation sim;
+            std::vector<const void *> frames;
+            sim.spawn(probeLoop(sim, 1, &frames));
+            sim.run();
+            // The child frame is parked, poisoned, in the pool.
+            const volatile char c =
+                *static_cast<const volatile char *>(frames.front());
+            (void)c;
+        },
+        "use-after-poison");
+}
+#endif
 
 } // namespace
