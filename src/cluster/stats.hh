@@ -118,10 +118,8 @@ class ClusterStats
      * "gateway.queue_depth" gauge (label ids are the tenant/node
      * indices — see the cardinality rule in obs/timeseries.hh). The
      * run-total registry is watch()ed too, so the cluster.* vocabulary
-     * shows up windowed for free. Telemetry-off builds make this a
-     * no-op (the stub TimeSeries cannot be constructed, so @p ts is
-     * never non-null there). Observation only: attaching must not —
-     * and by construction cannot — change stats digests.
+     * shows up windowed for free. Observation only: attaching must
+     * not — and by construction cannot — change stats digests.
      */
     void attachTelemetry(obs::TimeSeries *ts);
 

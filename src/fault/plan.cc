@@ -1,9 +1,10 @@
 #include "fault/plan.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
+#include "sim/parse.hh"
 #include "sim/random.hh"
 
 namespace molecule::fault {
@@ -151,29 +152,19 @@ InjectionPlan::serialize() const
 
 namespace {
 
-/** Parse "key=value" off the front of @p s; empty key on mismatch. */
-bool
-splitKv(const std::string &tok, std::string &key, std::string &val)
-{
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos)
-        return false;
-    key = tok.substr(0, eq);
-    val = tok.substr(eq + 1);
-    return true;
-}
-
-core::Expected<FaultKind>
-parseKind(const std::string &s)
+core::Status
+parseKind(FaultKind &out, std::string_view s)
 {
     for (FaultKind k :
          {FaultKind::PuCrash, FaultKind::LinkDegrade,
           FaultKind::FpgaReconfigFail, FaultKind::SandboxOom}) {
-        if (s == toString(k))
-            return k;
+        if (s == toString(k)) {
+            out = k;
+            return {};
+        }
     }
     return core::Error(core::Errc::InvalidArgument,
-                       "unknown fault kind '" + s + "'");
+                       "unknown fault kind '" + std::string(s) + "'");
 }
 
 } // namespace
@@ -185,53 +176,57 @@ InjectionPlan::parse(const std::string &text)
     std::string line;
     if (!std::getline(in, line))
         return core::Error(core::Errc::InvalidArgument, "empty plan");
+    std::istringstream header(line);
+    std::string word, version, seedTok, extra;
+    std::string_view key, val;
     std::uint64_t seed = 0;
-    if (std::sscanf(line.c_str(), "injection-plan v1 seed=%" SCNu64,
-                    &seed) != 1)
+    if (!(header >> word >> version >> seedTok) ||
+        word != "injection-plan" || version != "v1" ||
+        !sim::splitKv(seedTok, key, val) || key != "seed" ||
+        (header >> extra))
         return core::Error(core::Errc::InvalidArgument,
                            "bad plan header: " + line);
+    if (auto st = sim::parseInto(seed, key, val); !st.ok())
+        return st.error();
     InjectionPlan plan(seed);
 
     while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
         std::istringstream toks(line);
-        std::string word;
-        toks >> word;
+        if (!(toks >> word))
+            continue;
         if (word != "fault")
             return core::Error(core::Errc::InvalidArgument,
                                "bad plan line: " + line);
         FaultSpec spec;
-        std::string key, val;
         while (toks >> word) {
-            if (!splitKv(word, key, val))
+            if (!sim::splitKv(word, key, val))
                 return core::Error(core::Errc::InvalidArgument,
                                    "bad token '" + word + "'");
-            if (key == "kind") {
-                auto kind = parseKind(val);
-                if (!kind.ok())
-                    return kind.error();
-                spec.kind = kind.value();
-            } else if (key == "at") {
-                spec.at = sim::SimTime(std::stoll(val));
-            } else if (key == "pu") {
-                spec.pu = std::stoi(val);
-            } else if (key == "peer") {
-                spec.peer = std::stoi(val);
-            } else if (key == "dur") {
-                spec.duration = sim::SimTime(std::stoll(val));
-            } else if (key == "blackout") {
-                spec.blackout = sim::SimTime(std::stoll(val));
-            } else if (key == "factor") {
-                spec.factor = std::stod(val);
-            } else if (key == "count") {
-                spec.count = std::stoi(val);
-            } else if (key == "target") {
+            core::Status st;
+            if (key == "kind")
+                st = parseKind(spec.kind, val);
+            else if (key == "at")
+                st = sim::parseInto(spec.at, key, val);
+            else if (key == "pu")
+                st = sim::parseInto(spec.pu, key, val);
+            else if (key == "peer")
+                st = sim::parseInto(spec.peer, key, val);
+            else if (key == "dur")
+                st = sim::parseInto(spec.duration, key, val);
+            else if (key == "blackout")
+                st = sim::parseInto(spec.blackout, key, val);
+            else if (key == "factor")
+                st = sim::parseInto(spec.factor, key, val);
+            else if (key == "count")
+                st = sim::parseInto(spec.count, key, val);
+            else if (key == "target")
                 spec.target = val;
-            } else {
-                return core::Error(core::Errc::InvalidArgument,
-                                   "unknown key '" + key + "'");
-            }
+            else
+                st = core::Error(core::Errc::InvalidArgument,
+                                 "unknown key '" + std::string(key) +
+                                     "'");
+            if (!st.ok())
+                return st.error();
         }
         plan.add(std::move(spec));
     }

@@ -1,8 +1,10 @@
 #include "load/spec.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
+
+#include "sim/parse.hh"
 
 namespace molecule::load {
 
@@ -59,28 +61,25 @@ fmtDouble(double v)
     return buf;
 }
 
-/** Parse "key=value"; @retval false when no '=' is present. */
-bool
-splitKv(const std::string &tok, std::string &key, std::string &val)
-{
-    const auto eq = tok.find('=');
-    if (eq == std::string::npos)
-        return false;
-    key = tok.substr(0, eq);
-    val = tok.substr(eq + 1);
-    return true;
-}
-
-core::Expected<ArrivalKind>
-parseKind(const std::string &s)
+core::Status
+parseKind(ArrivalKind &out, std::string_view s)
 {
     for (ArrivalKind k : {ArrivalKind::Poisson, ArrivalKind::Mmpp,
                           ArrivalKind::Diurnal}) {
-        if (s == toString(k))
-            return k;
+        if (s == toString(k)) {
+            out = k;
+            return {};
+        }
     }
     return core::Error(core::Errc::InvalidArgument,
-                       "unknown arrival kind '" + s + "'");
+                       "unknown arrival kind '" + std::string(s) + "'");
+}
+
+core::Error
+unknownKey(std::string_view key)
+{
+    return core::Error(core::Errc::InvalidArgument,
+                       "unknown key '" + std::string(key) + "'");
 }
 
 } // namespace
@@ -124,70 +123,69 @@ TraceSpec::parse(const std::string &text)
                            "bad spec header: " + line);
 
     TraceSpec spec;
-    std::string key, val;
+    std::string_view key, val;
     while (header >> word) {
-        if (!splitKv(word, key, val))
+        if (!sim::splitKv(word, key, val))
             return core::Error(core::Errc::InvalidArgument,
                                "bad token '" + word + "'");
-        if (key == "seed") {
-            spec.seed = std::strtoull(val.c_str(), nullptr, 10);
-        } else if (key == "rate") {
-            spec.ratePerSecond = std::stod(val);
-        } else if (key == "arrival") {
-            auto kind = parseKind(val);
-            if (!kind.ok())
-                return kind.error();
-            spec.arrival = kind.value();
-        } else if (key == "dur") {
-            spec.duration = sim::SimTime(std::stoll(val));
-        } else if (key == "burst") {
-            spec.burstFactor = std::stod(val);
-        } else if (key == "dwell-base") {
-            spec.meanDwellBase = sim::SimTime(std::stoll(val));
-        } else if (key == "dwell-burst") {
-            spec.meanDwellBurst = sim::SimTime(std::stoll(val));
-        } else if (key == "diurnal-amp") {
-            spec.diurnalAmplitude = std::stod(val);
-        } else if (key == "diurnal-period") {
-            spec.diurnalPeriod = sim::SimTime(std::stoll(val));
-        } else {
-            return core::Error(core::Errc::InvalidArgument,
-                               "unknown key '" + key + "'");
-        }
+        core::Status st;
+        if (key == "seed")
+            st = sim::parseInto(spec.seed, key, val);
+        else if (key == "rate")
+            st = sim::parseInto(spec.ratePerSecond, key, val);
+        else if (key == "arrival")
+            st = parseKind(spec.arrival, val);
+        else if (key == "dur")
+            st = sim::parseInto(spec.duration, key, val);
+        else if (key == "burst")
+            st = sim::parseInto(spec.burstFactor, key, val);
+        else if (key == "dwell-base")
+            st = sim::parseInto(spec.meanDwellBase, key, val);
+        else if (key == "dwell-burst")
+            st = sim::parseInto(spec.meanDwellBurst, key, val);
+        else if (key == "diurnal-amp")
+            st = sim::parseInto(spec.diurnalAmplitude, key, val);
+        else if (key == "diurnal-period")
+            st = sim::parseInto(spec.diurnalPeriod, key, val);
+        else
+            st = unknownKey(key);
+        if (!st.ok())
+            return st.error();
     }
 
     while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
         std::istringstream toks(line);
-        toks >> word;
+        if (!(toks >> word))
+            continue;
         if (word == "fn") {
-            toks >> word;
-            if (!splitKv(word, key, val) || key != "name" || val.empty())
+            std::string extra;
+            if (!(toks >> word) || !sim::splitKv(word, key, val) ||
+                key != "name" || val.empty() || (toks >> extra))
                 return core::Error(core::Errc::InvalidArgument,
                                    "bad fn line: " + line);
-            spec.functions.push_back(val);
+            spec.functions.emplace_back(val);
         } else if (word == "tenant") {
             TenantSpec t;
             bool named = false;
             while (toks >> word) {
-                if (!splitKv(word, key, val))
+                if (!sim::splitKv(word, key, val))
                     return core::Error(core::Errc::InvalidArgument,
                                        "bad token '" + word + "'");
+                core::Status st;
                 if (key == "share") {
-                    t.share = std::stod(val);
+                    st = sim::parseInto(t.share, key, val);
                 } else if (key == "zipf") {
-                    t.zipfExponent = std::stod(val);
+                    st = sim::parseInto(t.zipfExponent, key, val);
                 } else if (key == "salt") {
-                    t.permuteSalt =
-                        std::strtoull(val.c_str(), nullptr, 10);
+                    st = sim::parseInto(t.permuteSalt, key, val);
                 } else if (key == "name") {
                     t.name = val;
                     named = true;
                 } else {
-                    return core::Error(core::Errc::InvalidArgument,
-                                       "unknown key '" + key + "'");
+                    st = unknownKey(key);
                 }
+                if (!st.ok())
+                    return st.error();
             }
             if (!named)
                 return core::Error(core::Errc::InvalidArgument,

@@ -20,12 +20,10 @@
 #ifndef MOLECULE_OBS_EXPORT_HH
 #define MOLECULE_OBS_EXPORT_HH
 
-#include "obs/trace.hh"
-
-#if MOLECULE_TRACING
-
 #include <string>
 #include <vector>
+
+#include "obs/trace.hh"
 
 namespace molecule::obs {
 
@@ -69,7 +67,5 @@ struct LoadedTrace
 LoadedTrace readBinary(const std::string &path);
 
 } // namespace molecule::obs
-
-#endif // MOLECULE_TRACING
 
 #endif // MOLECULE_OBS_EXPORT_HH

@@ -9,7 +9,7 @@
  * When a trigger fires — the fault::Injector on every injected
  * `fault.*` event, the cluster gateway on an Errc::Hang completion,
  * or any caller with a reason string — it freezes the rings, appends
- * the tail of the Tracer's span buffer (when tracing is compiled in),
+ * the tail of the Tracer's span buffer (when one is attached),
  * and serializes the whole bundle to a deterministic JSON document.
  *
  * Bundles accumulate in memory up to maxDumps (first-triggers win:
@@ -21,24 +21,20 @@
  * Determinism: everything in a bundle derives from sim time, feed
  * order and fixed-format printing — two runs of the same seed produce
  * byte-identical dumps, which is what makes them diffable evidence.
- * Telemetry-off builds collapse the recorder to a no-op stub.
  */
 
 #ifndef MOLECULE_OBS_FLIGHT_RECORDER_HH
 #define MOLECULE_OBS_FLIGHT_RECORDER_HH
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/slo.hh"
 #include "obs/timeseries.hh"
 #include "sim/time.hh"
-
-#if MOLECULE_TELEMETRY
-#include <deque>
-#include <vector>
-#endif
 
 namespace molecule::obs {
 
@@ -55,8 +51,6 @@ struct FlightRecorderOptions
     /** Bundles kept; later triggers only count, they don't dump. */
     std::size_t maxDumps = 4;
 };
-
-#if MOLECULE_TELEMETRY
 
 class FlightRecorder final : public WindowListener, public AlertSink
 {
@@ -106,27 +100,6 @@ class FlightRecorder final : public WindowListener, public AlertSink
     std::vector<std::string> dumps_;
     std::uint64_t triggers_ = 0;
 };
-
-#else // !MOLECULE_TELEMETRY
-
-/** Telemetry compiled out: never constructible, surface inert. */
-class FlightRecorder
-{
-  public:
-    FlightRecorder() = delete;
-
-    void attachTracer(const Tracer &) {}
-
-    void trigger(std::string_view, sim::SimTime) {}
-
-    std::uint64_t triggerCount() const { return 0; }
-
-    std::size_t dumpCount() const { return 0; }
-
-    bool writeLast(const std::string &) const { return false; }
-};
-
-#endif // MOLECULE_TELEMETRY
 
 } // namespace molecule::obs
 

@@ -1,7 +1,5 @@
 #include "obs/metrics_export.hh"
 
-#if MOLECULE_TELEMETRY
-
 #include <cstdio>
 
 namespace molecule::obs {
@@ -174,5 +172,3 @@ writeText(const std::string &path, const std::string &text)
 }
 
 } // namespace molecule::obs
-
-#endif // MOLECULE_TELEMETRY

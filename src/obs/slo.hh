@@ -23,26 +23,19 @@
  * alerts at deterministic sim instants and may schedule reactions.
  * The alert stream folds into an order-sensitive digest that the
  * golden tests pin serial vs rerun vs SweepRunner.
- *
- * Telemetry-off builds collapse the monitor to a no-op (same gate as
- * TimeSeries).
  */
 
 #ifndef MOLECULE_OBS_SLO_HH
 #define MOLECULE_OBS_SLO_HH
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "obs/timeseries.hh"
-#include "sim/time.hh"
-
-#if MOLECULE_TELEMETRY
-#include <deque>
-
 #include "sim/stats.hh"
-#endif
+#include "sim/time.hh"
 
 namespace molecule::obs {
 
@@ -110,8 +103,6 @@ class AlertSink
 
     virtual void onAlert(const AlertEvent &a) = 0;
 };
-
-#if MOLECULE_TELEMETRY
 
 /**
  * The evaluator. Construct after the producer has attached its
@@ -206,23 +197,6 @@ class SloMonitor final : public WindowListener
     std::vector<AlertEvent> alerts_;
     sim::Fingerprint fp_;
 };
-
-#else // !MOLECULE_TELEMETRY
-
-/** Telemetry compiled out: never constructible, API surface inert. */
-class SloMonitor
-{
-  public:
-    SloMonitor() = delete;
-
-    void addSink(AlertSink *) {}
-
-    std::size_t alertCount() const { return 0; }
-
-    std::uint64_t alertDigest() const { return 0; }
-};
-
-#endif // MOLECULE_TELEMETRY
 
 } // namespace molecule::obs
 

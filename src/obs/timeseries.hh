@@ -35,34 +35,27 @@
  * the simulation instant that closed the window — a policy reacting
  * to an alert schedules follow-up events at deterministic times.
  *
- * Build gate: MOLECULE_TELEMETRY (CMake option, default ON). OFF
- * collapses TimeSeries/SloMonitor/FlightRecorder to inline no-ops —
- * the MOLECULE_TRACING=OFF pattern — and all golden digests hold
- * bit-for-bit (the telemetry-off CI job re-runs the full suite).
+ * Runtime gate: telemetry is always compiled and off until a
+ * TimeSeries is attached; producers hold a `TimeSeries *` that stays
+ * null otherwise, so an unobserved run pays one pointer test per feed
+ * site. Attaching moves no golden digest
+ * (ClusterGoldenTest.FullObservationStackDoesNotMoveTheDigests).
  */
 
 #ifndef MOLECULE_OBS_TIMESERIES_HH
 #define MOLECULE_OBS_TIMESERIES_HH
 
-#ifndef MOLECULE_TELEMETRY
-#define MOLECULE_TELEMETRY 1
-#endif
-
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/registry.hh"
-#include "sim/time.hh"
-
-#if MOLECULE_TELEMETRY
-#include <map>
-
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
-#endif
+#include "sim/time.hh"
 
 namespace molecule::obs {
 
@@ -150,8 +143,6 @@ struct TimeSeriesOptions
      * listeners always see every window regardless. */
     std::size_t keepWindows = 0;
 };
-
-#if MOLECULE_TELEMETRY
 
 /**
  * The windowed collector. One per Simulation replica, like Tracer.
@@ -331,59 +322,6 @@ class TimeSeries
     std::vector<WindowListener *> listeners_;
     sim::Fingerprint fp_;
 };
-
-#else // !MOLECULE_TELEMETRY
-
-/**
- * Telemetry compiled out: the collector keeps its full surface as
- * inline no-ops. Never constructible — call sites hold a
- * `TimeSeries *` that stays null, exactly like the Tracer stub — so
- * the guarded feed paths vanish and golden digests cannot move.
- */
-class TimeSeries
-{
-  public:
-    TimeSeries() = delete;
-
-    std::uint32_t counterId(std::string_view, int = -1, int = -1)
-    {
-        return 0;
-    }
-
-    std::uint32_t gaugeId(std::string_view, int = -1, int = -1)
-    {
-        return 0;
-    }
-
-    std::uint32_t histogramId(std::string_view, int = -1, int = -1)
-    {
-        return 0;
-    }
-
-    void setThreshold(std::uint32_t, double) {}
-
-    void count(std::uint32_t, std::int64_t = 1) {}
-
-    void set(std::uint32_t, double) {}
-
-    void observe(std::uint32_t, double) {}
-
-    void observeTime(std::uint32_t, sim::SimTime) {}
-
-    void watch(const Registry &) {}
-
-    void addListener(WindowListener *) {}
-
-    void flush() {}
-
-    std::uint32_t seriesCount() const { return 0; }
-
-    std::uint64_t windowsClosed() const { return 0; }
-
-    std::uint64_t digest() const { return 0; }
-};
-
-#endif // MOLECULE_TELEMETRY
 
 } // namespace molecule::obs
 

@@ -28,34 +28,24 @@
  * scheduled at an earlier instant (independent timers landing on the
  * same tick) are reported.
  *
- * Build gate: MOLECULE_DETERMINISM_ANALYSIS (CMake option of the same
- * name, default ON). Runtime gate: Simulation::enableConflictTracking;
- * when off the per-event cost is one branch.
+ * Runtime gate: Simulation::enableConflictTracking; when off the
+ * per-event cost is one branch.
  */
 
 #ifndef MOLECULE_SIM_ANALYSIS_HH
 #define MOLECULE_SIM_ANALYSIS_HH
 
-#ifndef MOLECULE_DETERMINISM_ANALYSIS
-#define MOLECULE_DETERMINISM_ANALYSIS 1
-#endif
-
 #include <cstdint>
-#include <utility>
-
-#if MOLECULE_DETERMINISM_ANALYSIS
 #include <map>
 #include <source_location>
 #include <string>
+#include <utility>
 #include <vector>
-#endif
 
 namespace molecule::sim::analysis {
 
 /** Kind of a tracked access. */
 enum class AccessKind : std::uint8_t { Read, Write };
-
-#if MOLECULE_DETERMINISM_ANALYSIS
 
 const char *toString(AccessKind k);
 
@@ -267,48 +257,6 @@ class Tracked
     T value_{};
     const char *name_ = "?";
 };
-
-#else // !MOLECULE_DETERMINISM_ANALYSIS
-
-/**
- * Analysis compiled out: Tracked<T> is a bare T with inline
- * passthrough accessors. Call sites are identical in both modes.
- */
-template <typename T>
-class Tracked
-{
-  public:
-    Tracked() = default;
-
-    explicit Tracked(T initial, const char *name = "?")
-        : value_(std::move(initial))
-    {
-        (void)name;
-    }
-
-    const T &read() const { return value_; }
-
-    void write(T v) { value_ = std::move(v); }
-
-    T &writeRef() { return value_; }
-
-    T
-    fetchAdd(T delta)
-    {
-        T old = value_;
-        value_ += delta;
-        return old;
-    }
-
-    const T &peek() const { return value_; }
-
-    const char *name() const { return "?"; }
-
-  private:
-    T value_{};
-};
-
-#endif // MOLECULE_DETERMINISM_ANALYSIS
 
 } // namespace molecule::sim::analysis
 

@@ -19,7 +19,6 @@ SimTime
 Simulation::run()
 {
     FramePool::Scope active(frames_);
-#if MOLECULE_DETERMINISM_ANALYSIS
     // The conflict detector needs the per-event begin/scope hooks that
     // step() installs, so tracked runs take the slow path.
     if (log_) {
@@ -27,7 +26,6 @@ Simulation::run()
         }
         return now_;
     }
-#endif
     const SimTime forever(std::numeric_limits<std::int64_t>::max());
     while (events_.drain(now_, forever, kDrainChunk) > 0) {
     }
@@ -38,7 +36,6 @@ SimTime
 Simulation::runUntil(SimTime deadline)
 {
     FramePool::Scope active(frames_);
-#if MOLECULE_DETERMINISM_ANALYSIS
     if (log_) {
         while (!events_.empty() && events_.nextTime() <= deadline)
             step();
@@ -46,7 +43,6 @@ Simulation::runUntil(SimTime deadline)
             now_ = deadline;
         return now_;
     }
-#endif
     while (events_.drain(now_, deadline, kDrainChunk) > 0) {
     }
     if (now_ < deadline)
@@ -63,7 +59,6 @@ Simulation::step()
     // Advance the clock *before* running the callback so resumed
     // coroutines observe the firing time.
     now_ = events_.nextTime();
-#if MOLECULE_DETERMINISM_ANALYSIS
     if (log_) {
         log_->beginEvent(now_.raw(), events_.nextEventSeq());
         // Install the log for the duration of the callback so
@@ -74,7 +69,6 @@ Simulation::step()
         events_.fireNext();
         return true;
     }
-#endif
     events_.fireNext();
     return true;
 }

@@ -70,7 +70,6 @@ class Simulation
     bool
     cancel(EventId id)
     {
-#if MOLECULE_DETERMINISM_ANALYSIS
         if (log_) {
             const std::uint64_t seq = events_.seqOfEvent(id);
             const bool cancelled = events_.cancel(id);
@@ -78,7 +77,6 @@ class Simulation
                 log_->dropScheduled(seq);
             return cancelled;
         }
-#endif
         return events_.cancel(id);
     }
 
@@ -175,7 +173,6 @@ class Simulation
     /** Number of pending events (diagnostics). */
     std::size_t pendingEvents() const { return events_.size(); }
 
-#if MOLECULE_DETERMINISM_ANALYSIS
     /** @name Sim-time conflict detector (see sim/analysis.hh) */
     ///@{
 
@@ -196,32 +193,25 @@ class Simulation
     /** The access log, or nullptr when tracking is off. */
     analysis::AccessLog *accessLog() { return log_.get(); }
     ///@}
-#endif
 
   private:
     /** Tell the detector about the event the queue just accepted. */
     void
     noteScheduled()
     {
-#if MOLECULE_DETERMINISM_ANALYSIS
         if (log_)
             log_->noteScheduled(events_.lastScheduledSeq(), now_.raw());
-#endif
     }
 
     /** Tell the detector about the last @p n batch-accepted events. */
     void
     noteScheduledBatch(std::size_t n)
     {
-#if MOLECULE_DETERMINISM_ANALYSIS
         if (log_ && n > 0) {
             const std::uint64_t last = events_.lastScheduledSeq();
             for (std::size_t i = 0; i < n; ++i)
                 log_->noteScheduled(last - n + 1 + i, now_.raw());
         }
-#else
-        (void)n;
-#endif
     }
 
     /** First member, so it outlives every queued callback that may
@@ -231,9 +221,7 @@ class Simulation
     SimTime now_{0};
     Rng rng_;
     Arena arena_;
-#if MOLECULE_DETERMINISM_ANALYSIS
     std::unique_ptr<analysis::AccessLog> log_;
-#endif
 };
 
 } // namespace molecule::sim

@@ -2,14 +2,21 @@
  * @file
  * Fleet: construction, catalog fan-out, core table — and the cluster
  * golden: generator and fleet digests bit-identical across replays,
- * serial and on sim::SweepRunner workers.
+ * serial and on sim::SweepRunner workers, and with the whole
+ * observation stack attached.
  */
 
 #include "cluster/fleet.hh"
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "cluster/gateway.hh"
+#include "obs/flight_recorder.hh"
+#include "obs/slo.hh"
+#include "obs/timeseries.hh"
+#include "obs/trace.hh"
 #include "sim/simulation.hh"
 #include "sim/sweep.hh"
 
@@ -64,9 +71,45 @@ TEST(FleetTest, RegistrationFansOutToEveryNode)
     }
 }
 
-/** One small end-to-end cluster run; returns (stream, fleet) digests. */
+constexpr std::uint64_t kSeeds[] = {42, 7, 1, 1234, 5678};
+
+/**
+ * Everything that can watch a cluster run: a tracer on every node, a
+ * TimeSeries with an SloMonitor and a FlightRecorder behind it.
+ */
+struct Observers
+{
+    Observers(sim::Simulation &sim, std::uint64_t seed,
+              std::uint32_t tenants)
+        : tracer(sim, seed), ts(sim, {SimTime::milliseconds(250)}),
+          monitor(ts, sloSpec(tenants)), recorder(ts)
+    {
+        monitor.addSink(&recorder);
+        recorder.attachTracer(tracer);
+    }
+
+    static obs::SloSpec
+    sloSpec(std::uint32_t tenants)
+    {
+        obs::SloSpec spec;
+        spec.tenants = tenants;
+        spec.objectives = {{.name = "latency-p99", .thresholdUs = 5'000.0}};
+        return spec;
+    }
+
+    obs::Tracer tracer;
+    obs::TimeSeries ts;
+    obs::SloMonitor monitor;
+    obs::FlightRecorder recorder;
+};
+
+/**
+ * One small end-to-end cluster run; returns (stream, fleet) digests.
+ * @p observed also enables the conflict detector and attaches the
+ * Observers, which must see the run without changing it.
+ */
 std::pair<std::uint64_t, std::uint64_t>
-goldenRun(std::uint64_t seed)
+goldenRun(std::uint64_t seed, bool observed = false)
 {
     load::TraceSpec trace;
     trace.seed = seed;
@@ -79,9 +122,16 @@ goldenRun(std::uint64_t seed)
     };
 
     sim::Simulation sim(seed);
+    std::optional<Observers> observers;
+    if (observed) {
+        sim.enableConflictTracking();
+        observers.emplace(sim, seed, trace.tenantCount());
+    }
     FleetSpec fleetSpec;
     fleetSpec.nodes = 2;
     fleetSpec.dpusPerNode = 1;
+    if (observers)
+        fleetSpec.runtime.tracer = &observers->tracer;
     Fleet fleet(sim, fleetSpec);
     for (const auto &fn : trace.functions)
         fleet.registerCpuFunction(fn,
@@ -98,11 +148,22 @@ goldenRun(std::uint64_t seed)
         cluster::GatewayConfig::forFunctions(trace.functions, stats);
     cfg.admission = admission;
     cfg.dispatch = &policy;
+    if (observers) {
+        stats.attachTelemetry(&observers->ts);
+        cfg.recorder = &observers->recorder;
+    }
     cluster::ClusterGateway gateway(fleet, cfg);
 
     load::OpenLoopGenerator gen(trace);
     sim.spawn(load::drive(sim, gen, gateway));
     sim.run();
+    if (observers) {
+        // Each observer really watched the run.
+        observers->ts.flush();
+        EXPECT_GT(observers->tracer.records().size(), 0u);
+        EXPECT_GT(observers->ts.windowsClosed(), 0u);
+        EXPECT_GT(sim.accessLog()->recordCount(), 0u);
+    }
     return {load::streamDigest(trace), stats.digest()};
 }
 
@@ -118,7 +179,6 @@ TEST(ClusterGoldenTest, DigestsReplayBitForBitSerially)
 
 TEST(ClusterGoldenTest, ThreadedReplicasMatchTheSerialGolden)
 {
-    constexpr std::uint64_t kSeeds[] = {42, 7, 1, 1234, 5678};
     constexpr std::size_t kN = std::size(kSeeds);
 
     std::vector<std::pair<std::uint64_t, std::uint64_t>> serial;
@@ -139,6 +199,16 @@ TEST(ClusterGoldenTest, ThreadedReplicasMatchTheSerialGolden)
     }
     // Distinct seeds produce distinct streams (sanity on the golden).
     EXPECT_NE(serial[0].first, serial[1].first);
+}
+
+TEST(ClusterGoldenTest, FullObservationStackDoesNotMoveTheDigests)
+{
+    for (std::uint64_t seed : kSeeds) {
+        const auto plain = goldenRun(seed);
+        const auto observed = goldenRun(seed, true);
+        EXPECT_EQ(plain.first, observed.first) << "stream, seed " << seed;
+        EXPECT_EQ(plain.second, observed.second) << "fleet, seed " << seed;
+    }
 }
 
 } // namespace

@@ -126,6 +126,21 @@ TEST(Plan, ParseRejectsGarbageWithTypedErrors)
     }
 }
 
+TEST(Plan, MalformedNumbersAreTypedErrors)
+{
+    // Each used to throw out of parse() or be silently accepted.
+    for (const char *bad :
+         {"injection-plan v1 seed=1\nfault kind=pu-crash pu=abc",
+          "injection-plan v1 seed=1\nfault kind=pu-crash pu=99999999999",
+          "injection-plan v1 seed=1\nfault kind=link-degrade factor=nan",
+          "injection-plan v1 seed=1\nfault kind=pu-crash at=5x",
+          "injection-plan v1 seed=-5", "injection-plan v1 seed=5 extra"}) {
+        auto parsed = InjectionPlan::parse(bad);
+        ASSERT_FALSE(parsed.ok()) << "accepted: " << bad;
+        EXPECT_EQ(parsed.error().code(), core::Errc::InvalidArgument);
+    }
+}
+
 TEST(Plan, EmptyPlanRoundTripsAndStaysEmpty)
 {
     InjectionPlan plan(5);

@@ -79,6 +79,20 @@ TEST(TraceSpecTest, ParseRejectsUnknownLinesAndKeys)
     EXPECT_FALSE(TraceSpec::parse(good + "fn color=red\n").ok());
 }
 
+TEST(TraceSpecTest, MalformedNumbersAreTypedErrors)
+{
+    // Each used to throw out of parse() or be silently accepted.
+    for (const char *field : {"rate=abc", "rate=1e999", "rate=nan",
+                              "rate=5x", "seed=-5", "dur=1.5"}) {
+        const auto parsed =
+            TraceSpec::parse(std::string("trace-spec v1 ") + field);
+        ASSERT_FALSE(parsed.ok()) << "accepted: " << field;
+        EXPECT_EQ(parsed.error().code(), core::Errc::InvalidArgument);
+        EXPECT_NE(parsed.error().detail().find(field), std::string::npos)
+            << parsed.error().detail();
+    }
+}
+
 TEST(TraceSpecTest, ParseErrorCarriesInvalidArgument)
 {
     const auto parsed = TraceSpec::parse("bogus");

@@ -6,8 +6,7 @@
  * off), serialize a complete bundle on trigger (reason, trigger
  * instant, windows, alerts), stop dumping past maxDumps while still
  * counting triggers, reproduce bundles byte-for-byte across runs, and
- * persist the newest bundle via writeLast. Compiled out (trivial
- * pass) with MOLECULE_TELEMETRY=0.
+ * persist the newest bundle via writeLast.
  */
 
 #include <gtest/gtest.h>
@@ -27,8 +26,6 @@ namespace {
 
 using namespace molecule;
 using sim::SimTime;
-
-#if MOLECULE_TELEMETRY
 
 std::size_t
 countOccurrences(const std::string &text, const std::string &needle)
@@ -164,14 +161,5 @@ TEST(FlightRecorder, WriteLastPersistsNewestBundle)
     EXPECT_NE(buf.str().find("\"reason\":\"newest\""),
               std::string::npos);
 }
-
-#else // !MOLECULE_TELEMETRY
-
-TEST(FlightRecorderStub, SurfaceIsInert)
-{
-    SUCCEED();
-}
-
-#endif // MOLECULE_TELEMETRY
 
 } // namespace

@@ -8,9 +8,7 @@
  * lazily on feed (never via scheduled events), flush() closes the
  * partial tail, and window deltas sum back to run totals exactly —
  * for direct feeds and for watched registries alike. Also pins
- * snapshot minus/merge/countAbove and digest reproducibility. With
- * MOLECULE_TELEMETRY=0 only the snapshot-math tests run (they do not
- * depend on the gate).
+ * snapshot minus/merge/countAbove and digest reproducibility.
  */
 
 #include <gtest/gtest.h>
@@ -113,8 +111,6 @@ TEST(HistogramSnapshot, MergeFoldsCountsSumsAndBuckets)
     for (std::size_t i = 1; i < merged.buckets.size(); ++i)
         EXPECT_LT(merged.buckets[i - 1].first, merged.buckets[i].first);
 }
-
-#if MOLECULE_TELEMETRY
 
 // ---------------------------------------------------------------
 // The windowed collector.
@@ -357,15 +353,5 @@ TEST(TimeSeries, FlushClosesPartialTail)
     ASSERT_EQ(ts.windowsClosed(), 1u);
     EXPECT_EQ(ts.windows()[0].find(id)->count, 5);
 }
-
-#else // !MOLECULE_TELEMETRY
-
-TEST(TimeSeriesStub, SurfaceIsInert)
-{
-    // The stub keeps the API shape; nothing to observe.
-    SUCCEED();
-}
-
-#endif // MOLECULE_TELEMETRY
 
 } // namespace

@@ -33,11 +33,8 @@ std::vector<std::int64_t>
 scenario(std::uint64_t seed, std::size_t *conflictsOut = nullptr)
 {
     sim::Simulation sim(seed);
-    (void)conflictsOut; // only consulted when analysis is compiled in
-#if MOLECULE_DETERMINISM_ANALYSIS
     if (conflictsOut)
         sim.enableConflictTracking();
-#endif
     auto computer = hw::buildCpuDpuServer(sim, 2,
                                           hw::DpuGeneration::Bf1);
     Molecule runtime(*computer, MoleculeOptions{});
@@ -64,10 +61,8 @@ scenario(std::uint64_t seed, std::size_t *conflictsOut = nullptr)
     fingerprint.push_back(rec.endToEnd.raw());
     for (const auto &edge : rec.edgeLatencies)
         fingerprint.push_back(edge.raw());
-#if MOLECULE_DETERMINISM_ANALYSIS
     if (conflictsOut)
         *conflictsOut = sim.accessLog()->findConflicts().size();
-#endif
     return fingerprint;
 }
 
@@ -120,7 +115,6 @@ TEST(Determinism, GoldenTraceDigestHoldsUnderSweepRunner)
         EXPECT_EQ(digests[i], golden[i]) << "replica " << i;
 }
 
-#if MOLECULE_DETERMINISM_ANALYSIS
 // The conflict detector is an observer: with tracking enabled the full
 // scenario must (a) report zero same-tick conflicts — the shipped
 // model state never depends on the schedule-sequence tie-break — and
@@ -142,17 +136,14 @@ TEST(Determinism, ConflictTrackingIsCleanAndNonPerturbing)
         EXPECT_EQ(fp.digest(), digest) << "seed " << seed;
     }
 }
-#endif
 
-#if MOLECULE_TRACING
 /**
  * The accelerator paths on one CPU+DPU+FPGA+GPU computer, traced: an
  * FPGA cold composition, a warm hit and a reconfiguration to a second
  * kernel; GPU cold and warm calls on two modules; then an armed
  * reconfiguration failure that a retry absorbs and one that exhausts
  * every attempt. Folds each record's timings and attempts, each
- * error's code and retry count, and the number of spans recorded
- * (so it needs tracing compiled in).
+ * error's code and retry count, and the number of spans recorded.
  */
 std::uint64_t
 acceleratorDigest(std::uint64_t seed)
@@ -225,7 +216,6 @@ TEST(Determinism, AcceleratorGoldenDigest)
     EXPECT_EQ(acceleratorDigest(42), 0xe1b2afc44069b709ULL);
     EXPECT_EQ(acceleratorDigest(7), 0x4b352b29fbea1fe9ULL);
 }
-#endif // MOLECULE_TRACING
 
 TEST(Determinism, DifferentSeedsDifferOnlyInJitter)
 {

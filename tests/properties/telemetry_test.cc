@@ -8,8 +8,7 @@
  * serial runs, re-runs, and sim::SweepRunner replicas, and the window
  * deltas must conserve exactly against the run totals — per seed.
  * tools/slo_report.cc drives the same property at CI scale; this is
- * the tier-1 distillation. Compiled down to a stub check with
- * MOLECULE_TELEMETRY=0.
+ * the tier-1 distillation.
  */
 
 #include <gtest/gtest.h>
@@ -27,8 +26,6 @@ namespace {
 
 using namespace molecule;
 using sim::SimTime;
-
-#if MOLECULE_TELEMETRY
 
 struct Triple
 {
@@ -130,14 +127,5 @@ TEST(TelemetryDeterminism, TripleMatchesSerialRerunAndSweepRunner)
         [&](std::size_t i) { return saturatedRun(seeds[i]); });
     EXPECT_EQ(serial, threaded);
 }
-
-#else // !MOLECULE_TELEMETRY
-
-TEST(TelemetryDeterminismStub, SurfaceIsInert)
-{
-    SUCCEED();
-}
-
-#endif // MOLECULE_TELEMETRY
 
 } // namespace

@@ -16,16 +16,9 @@
  *   - the OOM scenario actually killed sandboxes (fault.oom_killed).
  *
  * Output is a markdown-friendly table; CI uploads it as an artifact.
- * With MOLECULE_TRACING=0 the tool compiles to a stub that reports
- * the configuration and succeeds (the span/counter checks need obs).
  */
 
 #include <cstdio>
-
-#include "obs/trace.hh"
-
-#if MOLECULE_TRACING
-
 #include <cstring>
 #include <memory>
 #include <string>
@@ -34,6 +27,7 @@
 #include "core/molecule.hh"
 #include "fault/injector.hh"
 #include "hw/computer.hh"
+#include "obs/trace.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
 
@@ -323,15 +317,3 @@ main(int argc, char **argv)
     }
     return report(strict);
 }
-
-#else // !MOLECULE_TRACING
-
-int
-main()
-{
-    std::printf("chaos_report: built with MOLECULE_TRACING=0; the "
-                "span/counter checks need the obs subsystem.\n");
-    return 0;
-}
-
-#endif // MOLECULE_TRACING

@@ -21,18 +21,6 @@
 #include "sim/analysis.hh"
 #include "workloads/catalog.hh"
 
-#if !MOLECULE_DETERMINISM_ANALYSIS
-
-int
-main()
-{
-    std::printf("conflict_report: built with "
-                "MOLECULE_DETERMINISM_ANALYSIS=OFF; nothing to do\n");
-    return 0;
-}
-
-#else
-
 namespace {
 
 using namespace molecule;
@@ -106,5 +94,3 @@ main(int argc, char **argv)
     std::printf("\n# total: %zu conflict(s)\n", total);
     return (strict && total > 0) ? 1 : 0;
 }
-
-#endif // MOLECULE_DETERMINISM_ANALYSIS
