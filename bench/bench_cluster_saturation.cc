@@ -16,7 +16,7 @@
 #include <chrono>
 
 #include "bench/common.hh"
-#include "cluster/gateway.hh"
+#include "cluster/scenario.hh"
 #include "load/generator.hh"
 #include "sim/simulation.hh"
 
@@ -35,27 +35,13 @@ wallSeconds(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-load::TraceSpec
-baseSpec(double rate)
-{
-    load::TraceSpec spec;
-    spec.seed = 42;
-    spec.ratePerSecond = rate;
-    spec.functions = {"helloworld", "pyaes", "dd", "gzip-compression"};
-    spec.tenants = {
-        {"alpha", 3.0, 1.1, 1},
-        {"beta", 1.0, 0.8, 2},
-    };
-    return spec;
-}
-
 /** Arrivals produced per wall second for one arrival process. */
 double
 generatorRate(load::ArrivalKind kind)
 {
-    load::TraceSpec spec = baseSpec(100000.0);
+    load::TraceSpec spec = cluster::catalogueTrace(
+        42, 100000.0, SimTime::fromSeconds(10.0)); // ~1M arrivals
     spec.arrival = kind;
-    spec.duration = SimTime::fromSeconds(10.0); // ~1M arrivals
     load::OpenLoopGenerator gen(spec);
     const auto t0 = std::chrono::steady_clock::now();
     load::Arrival a;
@@ -66,49 +52,21 @@ generatorRate(load::ArrivalKind kind)
 }
 
 /**
- * Completed invocations per wall second for the saturated rung of the
- * cluster_report scenario, scaled down to bench length (~48k
- * arrivals, ~30k served).
+ * Completed invocations per wall second for the saturated (1.6x) rung
+ * of the cluster_report ladder, scaled down to bench length (100 s:
+ * ~48k arrivals, ~30k served).
  */
 double
 clusterRate()
 {
     sim::Simulation sim(42);
-    cluster::FleetSpec fleetSpec;
-    fleetSpec.nodes = 4;
-    fleetSpec.dpusPerNode = 2;
-    cluster::Fleet fleet(sim, fleetSpec);
-
-    load::TraceSpec spec = baseSpec(480.0);
-    spec.duration = SimTime::fromSeconds(100.0);
-    for (const auto &fn : spec.functions)
-        fleet.registerCpuFunction(fn,
-                                  {hw::PuType::HostCpu, hw::PuType::Dpu});
-    fleet.start();
-
-    obs::Registry registry;
-    cluster::ClusterStats stats(registry);
-    cluster::LeastOutstandingPolicy policy;
-    cluster::AdmissionOptions admission;
-    admission.tokensPerSecond = 300.0;
-    admission.bucketCapacity = 200.0;
-    admission.queueCapacity = 2048;
-    admission.maxOutstandingPerNode = 96;
-    admission.invoke.maxAttempts = 2;
-    cluster::GatewayConfig gwCfg =
-        cluster::GatewayConfig::forFunctions(spec.functions, stats);
-    gwCfg.admission = admission;
-    gwCfg.dispatch = &policy;
-    cluster::ClusterGateway gateway(fleet, gwCfg);
-
-    load::OpenLoopGenerator gen(spec);
+    cluster::Scenario scenario(
+        sim, cluster::clusterLadder(
+                 42, 1.6 * cluster::kLadderAdmittedPerSecond,
+                 SimTime::fromSeconds(100.0)));
     const auto t0 = std::chrono::steady_clock::now();
-    sim.spawn(load::drive(sim, gen, gateway));
-    sim.run();
-    const double wall = wallSeconds(t0);
-    const auto summary =
-        stats.summarize(sim.now(), fleet.coreTable());
-    return double(summary.completed) / wall;
+    const cluster::ScenarioResult r = scenario.run();
+    return double(r.summary.completed) / wallSeconds(t0);
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
  * Policy-layer wall-clock bench: how fast the simulator chews through
- * the policy_report race scenario under each placement x keep-alive
- * combo (invocations completed per wall second, full admission +
- * placement + keep-alive + cost accounting pipeline).
+ * the policy_report race scenario under each of its three placement
+ * combos, all with LRU keep-alive (invocations completed per wall
+ * second, full admission + placement + keep-alive + cost accounting
+ * pipeline).
  *
  * Writes BENCH_policy.json (same PerfSnapshot shape perf_check
  * reads); the committed copy at the repo root is the reference the CI
@@ -14,9 +15,7 @@
 #include <chrono>
 
 #include "bench/common.hh"
-#include "cluster/cost.hh"
-#include "cluster/gateway.hh"
-#include "load/generator.hh"
+#include "cluster/scenario.hh"
 #include "sim/simulation.hh"
 
 namespace {
@@ -36,54 +35,23 @@ wallSeconds(std::chrono::steady_clock::time_point t0)
 
 /**
  * Completed invocations per wall second for one policy combo on the
- * saturated rung of the tools/policy_report scenario (open gateway,
- * 4-node 2xBF2 fleet, cost model attached).
+ * saturated (1.6x) rung of the tools/policy_report race, with a 60 s
+ * horizon.
  */
 double
 policyRate(const core::PlacementConfig &placement,
            const core::KeepAliveConfig &keepAlive)
 {
+    cluster::ScenarioSpec spec = cluster::policyRace(
+        42, 1.6 * cluster::kRaceCeilingPerSecond,
+        SimTime::fromSeconds(60.0));
+    spec.fleet.runtime.placement = placement;
+    spec.fleet.runtime.startup.keepAlive = keepAlive;
     sim::Simulation sim(42);
-    cluster::FleetSpec fleetSpec;
-    fleetSpec.nodes = 4;
-    fleetSpec.dpusPerNode = 2;
-    fleetSpec.runtime.placement = placement;
-    fleetSpec.runtime.startup.keepAlive = keepAlive;
-    cluster::Fleet fleet(sim, fleetSpec);
-
-    load::TraceSpec spec;
-    spec.seed = 42;
-    spec.ratePerSecond = 768.0; // 1.6x the DPU-bound ceiling
-    spec.duration = SimTime::fromSeconds(60.0);
-    spec.functions = {"helloworld", "pyaes", "dd", "gzip-compression"};
-    spec.tenants = {
-        {"alpha", 3.0, 1.1, 1},
-        {"beta", 1.0, 0.8, 2},
-    };
-    for (const auto &fn : spec.functions)
-        fleet.registerCpuFunction(fn,
-                                  {hw::PuType::HostCpu, hw::PuType::Dpu});
-    fleet.start();
-
-    obs::Registry registry;
-    cluster::ClusterStats stats(registry);
-    cluster::CostModel cost;
-    stats.setCostModel(&cost, fleet.puTypeTable());
-    cluster::GatewayConfig gwCfg =
-        cluster::GatewayConfig::forFunctions(spec.functions, stats);
-    gwCfg.admission.tokensPerSecond = 0.0;
-    gwCfg.admission.queueCapacity = 2048;
-    gwCfg.admission.maxOutstandingPerNode = 96;
-    gwCfg.admission.invoke.maxAttempts = 2;
-    cluster::ClusterGateway gateway(fleet, gwCfg);
-
-    load::OpenLoopGenerator gen(spec);
+    cluster::Scenario scenario(sim, spec);
     const auto t0 = std::chrono::steady_clock::now();
-    sim.spawn(load::drive(sim, gen, gateway));
-    sim.run();
-    const double wall = wallSeconds(t0);
-    const auto summary = stats.summarize(sim.now(), fleet.coreTable());
-    return double(summary.completed) / wall;
+    const cluster::ScenarioResult r = scenario.run();
+    return double(r.summary.completed) / wallSeconds(t0);
 }
 
 } // namespace
@@ -114,9 +82,6 @@ main()
          core::KeepAliveConfig::lru()},
         {"PolicyLocalityLru", core::PlacementConfig::locality(),
          core::KeepAliveConfig::lru()},
-        {"PolicyPriceOrderedHistogram",
-         core::PlacementConfig::priceOrdered(),
-         core::KeepAliveConfig::histogram()},
     };
     for (const auto &c : kCases) {
         double best = 0.0;

@@ -173,19 +173,16 @@ struct GatewayConfig
 
 /**
  * The front door, fed by load::drive (it is an ArrivalSink).
+ * cluster::Scenario (cluster/scenario.hh) builds and drives one:
  *
  * @code
- *   cluster::Fleet fleet(sim, fleetSpec);
- *   fleet.registerCpuFunction("helloworld", kinds);
- *   fleet.start();
- *   cluster::ClusterStats stats(registry);
- *   cluster::GatewayConfig cfg =
- *       cluster::GatewayConfig::forFunctions(spec.functions, stats);
- *   cfg.admission.tokensPerSecond = 300.0;
- *   cluster::ClusterGateway gw(fleet, cfg);
- *   load::OpenLoopGenerator gen(spec);
- *   sim.spawn(load::drive(sim, gen, gw));
- *   sim.run();
+ *   cluster::ScenarioSpec spec;
+ *   spec.fleet.nodes = 4;
+ *   spec.trace = cluster::catalogueTrace(seed, 480.0, horizon);
+ *   spec.admission.tokensPerSecond = 300.0;
+ *   cluster::WarmAffinityPolicy affinity; // null: least-outstanding
+ *   const cluster::ScenarioResult r =
+ *       cluster::runScenario(spec, {.dispatch = &affinity});
  * @endcode
  */
 class ClusterGateway final : public load::ArrivalSink

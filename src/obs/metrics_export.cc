@@ -62,12 +62,10 @@ std::string
 openMetricsText(const TimeSeries &ts)
 {
     std::string out;
-    // Series ids group by metric name already (ids are issued from an
-    // ordered (metric, tenant, node) map... for series created in one
-    // batch; watched metrics adopted later break the grouping, so the
-    // TYPE line is emitted whenever the family changes).
+    // Identity order groups each metric's series together; the TYPE
+    // line is emitted whenever the family changes.
     std::string lastFamily;
-    for (std::uint32_t id = 0; id < ts.seriesCount(); ++id) {
+    for (const std::uint32_t id : ts.idsByIdentity()) {
         const SeriesDesc &d = ts.series(id);
         const std::string family = familyName(d.metric);
         if (family != lastFamily) {
@@ -113,11 +111,15 @@ windowJson(const TimeSeries &ts, const WindowRecord &w)
                       ",\"end_ns\":" + fmtInt(w.end.raw()) +
                       ",\"points\":[";
     bool first = true;
-    for (const WindowPoint &p : w.points) {
+    for (const std::uint32_t id : ts.idsByIdentity()) {
+        const WindowPoint *point = w.find(id);
+        if (point == nullptr)
+            continue;
+        const WindowPoint &p = *point;
         if (!first)
             out += ",";
         first = false;
-        const SeriesDesc &d = ts.series(p.series);
+        const SeriesDesc &d = ts.series(id);
         out += "{\"metric\":\"" + d.metric + "\"";
         if (d.tenant >= 0)
             out += ",\"tenant\":" + fmtInt(d.tenant);

@@ -17,9 +17,9 @@
  * recorder's bundles.
  *
  * All output is byte-deterministic for a given collector state:
- * series iterate in id order (itself derived from the ordered key
- * map), and every floating-point value prints through one fixed
- * "%.3f" formatter.
+ * series iterate in identity order (metric, tenant, node — see
+ * TimeSeries::idsByIdentity), never in creation order, and every
+ * floating-point value prints through one fixed "%.3f" formatter.
  */
 
 #ifndef MOLECULE_OBS_METRICS_EXPORT_HH

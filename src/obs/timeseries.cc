@@ -82,6 +82,16 @@ TimeSeries::makeSeries(std::string_view metric, int tenant, int node,
     return id;
 }
 
+std::vector<std::uint32_t>
+TimeSeries::idsByIdentity() const
+{
+    std::vector<std::uint32_t> ids;
+    ids.reserve(index_.size());
+    for (const auto &[key, id] : index_)
+        ids.push_back(id);
+    return ids;
+}
+
 std::uint32_t
 TimeSeries::counterId(std::string_view metric, int tenant, int node)
 {
@@ -256,11 +266,16 @@ TimeSeries::closeWindow()
     w.index = std::uint64_t(winStart_.raw() / opts_.window.raw());
     w.start = winStart_;
     w.end = winStart_ + opts_.window;
-    const auto n = std::uint32_t(series_.size());
-    for (std::uint32_t id = 0; id < n; ++id)
+    // Emit and fold in series-identity order, so the digest names
+    // what was measured, not the order the series were created in;
+    // then store by id, the order find() binary-searches.
+    for (const auto &[key, id] : index_)
         emitPoint(id, w.points);
-
     mixWindow(w);
+    std::sort(w.points.begin(), w.points.end(),
+              [](const WindowPoint &a, const WindowPoint &b) {
+                  return a.series < b.series;
+              });
     windows_.push_back(std::move(w));
     ++closed_;
     winStart_ = winStart_ + opts_.window;

@@ -116,8 +116,9 @@ struct WindowRecord
     std::uint64_t index = 0;
     sim::SimTime start;
     sim::SimTime end;
-    /** Points sorted by series id; series with no activity in the
-     * window emit nothing (gauges emit every window once touched). */
+    /** Points sorted by series id (for find()); series with no
+     * activity in the window emit nothing (gauges emit every window
+     * once touched). */
     std::vector<WindowPoint> points;
 
     /** Point of @p series, or nullptr (binary search). */
@@ -216,6 +217,14 @@ class TimeSeries
         return std::uint32_t(series_.size());
     }
 
+    /**
+     * Every series id in identity order (metric, tenant, node). Ids
+     * follow creation order; the digest and the exporters use this
+     * order instead, so they do not depend on which producer touched
+     * a series first.
+     */
+    std::vector<std::uint32_t> idsByIdentity() const;
+
     /** Retained closed windows, oldest first (ring per options). */
     const std::deque<WindowRecord> &windows() const { return windows_; }
 
@@ -247,8 +256,9 @@ class TimeSeries
 
     /**
      * Order-sensitive FNV-1a digest over every closed window (index,
-     * series identity, point payloads). The alert goldens pin this
-     * next to the SloMonitor's alert digest.
+     * then each point's series identity and payload, in identity
+     * order). The alert goldens pin this next to the SloMonitor's
+     * alert digest.
      */
     std::uint64_t digest() const { return fp_.digest(); }
     ///@}

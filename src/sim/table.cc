@@ -27,6 +27,14 @@ Table::num(double v, int decimals)
 }
 
 std::string
+Table::hex(std::uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)v);
+    return buf;
+}
+
+std::string
 Table::render() const
 {
     // Column widths over header + all rows.

@@ -9,6 +9,7 @@
 #ifndef MOLECULE_SIM_TABLE_HH
 #define MOLECULE_SIM_TABLE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,9 @@ class Table
 
     /** Format a double with @p decimals places (row-building helper). */
     static std::string num(double v, int decimals = 2);
+
+    /** Format a 64-bit digest as 16 lowercase hex digits. */
+    static std::string hex(std::uint64_t v);
 
     /** Render to a string (unit-testable). */
     std::string render() const;

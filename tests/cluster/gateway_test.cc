@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/scenario.hh"
 #include "sim/simulation.hh"
 
 namespace {
@@ -16,10 +17,7 @@ namespace {
 using namespace molecule;
 using cluster::AdmissionOptions;
 using cluster::ClusterGateway;
-using cluster::ClusterStats;
 using cluster::DropPolicy;
-using cluster::Fleet;
-using cluster::FleetSpec;
 using load::Arrival;
 using sim::SimTime;
 
@@ -72,64 +70,38 @@ TEST(DispatchPolicyTest, WarmAffinityKeepsAFunctionHome)
     EXPECT_EQ(p.pick(arrival(7), balanced, 4), 0);
 }
 
-struct Harness
+/** A 2-node, 1-DPU fleet serving helloworld and pyaes. */
+cluster::ScenarioSpec
+spec(const AdmissionOptions &admission, double ratePerSecond,
+     double seconds, std::uint64_t seed = 42)
 {
-    sim::Simulation sim;
-    Fleet fleet;
-    obs::Registry registry;
-    ClusterStats stats;
-    cluster::LeastOutstandingPolicy policy;
+    cluster::ScenarioSpec s;
+    s.fleet.nodes = 2;
+    s.fleet.dpusPerNode = 1;
+    s.trace.seed = seed;
+    s.trace.ratePerSecond = ratePerSecond;
+    s.trace.duration = SimTime::fromSeconds(seconds);
+    s.trace.functions = {"helloworld", "pyaes"};
+    s.admission = admission;
+    return s;
+}
 
-    explicit Harness(int nodes = 2, std::uint64_t seed = 42)
-        : sim(seed), fleet(sim, spec(nodes)), stats(registry)
-    {
-        fleet.registerCpuFunction(
-            "helloworld", {hw::PuType::HostCpu, hw::PuType::Dpu});
-        fleet.registerCpuFunction(
-            "pyaes", {hw::PuType::HostCpu, hw::PuType::Dpu});
-        fleet.start();
-    }
-
-    static FleetSpec
-    spec(int nodes)
-    {
-        FleetSpec s;
-        s.nodes = nodes;
-        s.dpusPerNode = 1;
-        return s;
-    }
-
-    cluster::ClusterSummary
-    run(const AdmissionOptions &admission, double ratePerSecond,
-        double seconds, std::uint64_t seed = 42)
-    {
-        cluster::GatewayConfig cfg =
-            cluster::GatewayConfig::forFunctions(
-                {"helloworld", "pyaes"}, stats);
-        cfg.admission = admission;
-        cfg.dispatch = &policy;
-        ClusterGateway gateway(fleet, cfg);
-        load::TraceSpec trace;
-        trace.seed = seed;
-        trace.ratePerSecond = ratePerSecond;
-        trace.duration = SimTime::fromSeconds(seconds);
-        trace.functions = {"helloworld", "pyaes"};
-        load::OpenLoopGenerator gen(trace);
-        const SimTime t0 = sim.now();
-        sim.spawn(load::drive(sim, gen, gateway));
-        sim.run();
-        EXPECT_TRUE(gateway.idle());
-        return stats.summarize(sim.now() - t0, fleet.coreTable());
-    }
-};
+cluster::ClusterSummary
+run(const AdmissionOptions &admission, double ratePerSecond,
+    double seconds)
+{
+    const cluster::ScenarioResult r =
+        cluster::runScenario(spec(admission, ratePerSecond, seconds));
+    EXPECT_TRUE(r.drained);
+    return r.summary;
+}
 
 TEST(ClusterGatewayTest, ServesEverythingBelowTheAdmittedRate)
 {
-    Harness h;
     AdmissionOptions admission;
     admission.tokensPerSecond = 200.0;
     admission.bucketCapacity = 100.0;
-    const auto s = h.run(admission, 50.0, 4.0);
+    const auto s = run(admission, 50.0, 4.0);
     EXPECT_GT(s.arrivals, 0);
     EXPECT_EQ(s.shed, 0);
     EXPECT_EQ(s.dropped, 0);
@@ -142,11 +114,10 @@ TEST(ClusterGatewayTest, ServesEverythingBelowTheAdmittedRate)
 
 TEST(ClusterGatewayTest, TokenBucketShedsAboveTheAdmittedRate)
 {
-    Harness h;
     AdmissionOptions admission;
     admission.tokensPerSecond = 50.0;
     admission.bucketCapacity = 10.0;
-    const auto s = h.run(admission, 400.0, 4.0);
+    const auto s = run(admission, 400.0, 4.0);
     EXPECT_GT(s.shed, 0);
     EXPECT_EQ(s.arrivals, s.admitted + s.shed + s.dropped);
     EXPECT_EQ(s.admitted, s.completed + s.errors);
@@ -157,22 +128,20 @@ TEST(ClusterGatewayTest, TokenBucketShedsAboveTheAdmittedRate)
 
 TEST(ClusterGatewayTest, UnlimitedBucketNeverSheds)
 {
-    Harness h;
     AdmissionOptions admission;
     admission.tokensPerSecond = 0.0; // disabled
-    const auto s = h.run(admission, 300.0, 2.0);
+    const auto s = run(admission, 300.0, 2.0);
     EXPECT_EQ(s.shed, 0);
     EXPECT_EQ(s.completed + s.errors, s.arrivals);
 }
 
 TEST(ClusterGatewayTest, BoundedQueueDropsNewestWhenFull)
 {
-    Harness h;
     AdmissionOptions admission;
     admission.maxOutstandingPerNode = 1;
     admission.queueCapacity = 4;
     admission.dropPolicy = DropPolicy::DropNewest;
-    const auto s = h.run(admission, 400.0, 2.0);
+    const auto s = run(admission, 400.0, 2.0);
     EXPECT_GT(s.dropped, 0);
     EXPECT_LE(s.queueMaxDepth, 4);
     EXPECT_EQ(s.arrivals, s.admitted + s.shed + s.dropped);
@@ -181,12 +150,11 @@ TEST(ClusterGatewayTest, BoundedQueueDropsNewestWhenFull)
 
 TEST(ClusterGatewayTest, DropOldestEvictsButStillServesTheBound)
 {
-    Harness h;
     AdmissionOptions admission;
     admission.maxOutstandingPerNode = 1;
     admission.queueCapacity = 4;
     admission.dropPolicy = DropPolicy::DropOldest;
-    const auto s = h.run(admission, 400.0, 2.0);
+    const auto s = run(admission, 400.0, 2.0);
     EXPECT_GT(s.dropped, 0);
     EXPECT_LE(s.queueMaxDepth, 4);
     EXPECT_EQ(s.arrivals, s.admitted + s.shed + s.dropped);
@@ -194,11 +162,10 @@ TEST(ClusterGatewayTest, DropOldestEvictsButStillServesTheBound)
 
 TEST(ClusterGatewayTest, QueueWaitShowsUpInTheScoreboard)
 {
-    Harness h;
     AdmissionOptions admission;
     admission.maxOutstandingPerNode = 1;
     admission.queueCapacity = 256;
-    const auto s = h.run(admission, 200.0, 2.0);
+    const auto s = run(admission, 200.0, 2.0);
     EXPECT_GT(s.queueMaxDepth, 0);
     EXPECT_GT(s.queueWaitP99Us, 0.0);
 }
@@ -206,11 +173,10 @@ TEST(ClusterGatewayTest, QueueWaitShowsUpInTheScoreboard)
 TEST(ClusterGatewayTest, DigestsReproduceAcrossIdenticalRuns)
 {
     auto digest = [](std::uint64_t seed) {
-        Harness h(2, seed);
         AdmissionOptions admission;
         admission.tokensPerSecond = 100.0;
-        h.run(admission, 150.0, 2.0, seed);
-        return h.stats.digest();
+        return cluster::runScenario(spec(admission, 150.0, 2.0, seed))
+            .statsDigest;
     };
     EXPECT_EQ(digest(42), digest(42));
     EXPECT_NE(digest(42), digest(43));
@@ -218,14 +184,13 @@ TEST(ClusterGatewayTest, DigestsReproduceAcrossIdenticalRuns)
 
 TEST(ClusterGatewayTest, UtilizationIsChargedPerPu)
 {
-    Harness h;
     AdmissionOptions admission;
-    const auto s = h.run(admission, 100.0, 2.0);
+    const auto s = run(admission, 100.0, 2.0);
     ASSERT_FALSE(s.utilization.empty());
     double total = 0.0;
     for (const auto &u : s.utilization) {
         EXPECT_GE(u.node, 0);
-        EXPECT_LT(u.node, h.fleet.size());
+        EXPECT_LT(u.node, 2);
         total += u.utilization;
     }
     EXPECT_GT(total, 0.0);
@@ -235,18 +200,20 @@ TEST(ClusterGatewayTest, UnknownFunctionIndexIsATypedError)
 {
     // An index past GatewayConfig::functions used to throw from
     // functions_.at() inside a detached serve task, which panics.
-    Harness h;
+    sim::Simulation sim(42);
+    const cluster::ScenarioSpec booting = spec({}, 100.0, 1.0);
+    cluster::Scenario booted(sim, booting);
     cluster::GatewayConfig cfg = cluster::GatewayConfig::forFunctions(
-        {"helloworld", "pyaes"}, h.stats);
-    ClusterGateway gateway(h.fleet, cfg);
-    const SimTime t0 = h.sim.now();
+        booting.trace.functions, booted.stats());
+    ClusterGateway gateway(booted.fleet(), cfg);
+    const SimTime t0 = sim.now();
     gateway.onArrival(arrival(0));
     gateway.onArrival(arrival(7));
     gateway.onArrival(arrival(1));
-    h.sim.run();
+    sim.run();
     EXPECT_TRUE(gateway.idle());
-    const auto s = h.stats.summarize(h.sim.now() - t0,
-                                     h.fleet.coreTable());
+    const auto s = booted.stats().summarize(sim.now() - t0,
+                                            booted.fleet().coreTable());
     EXPECT_EQ(s.arrivals, 3);
     EXPECT_EQ(s.completed, 2);
     EXPECT_EQ(s.errors, 1);

@@ -10,7 +10,7 @@
  * digest — observation is read-only.
  */
 
-#include "cluster/gateway.hh"
+#include "cluster/scenario.hh"
 
 #include <gtest/gtest.h>
 
@@ -23,12 +23,9 @@ namespace {
 
 using namespace molecule;
 using cluster::AdmissionOptions;
-using cluster::ClusterGateway;
 using cluster::ClusterStats;
 using cluster::ClusterSummary;
 using cluster::DropPolicy;
-using cluster::Fleet;
-using cluster::FleetSpec;
 using sim::SimTime;
 
 load::TraceSpec
@@ -53,50 +50,26 @@ twoTenantTrace(double ratePerSecond, double seconds,
     return trace;
 }
 
-struct Harness
+/** A 2-node, 1-DPU fleet behind @p admission, fed @p trace. */
+cluster::ScenarioSpec
+spec(const AdmissionOptions &admission, const load::TraceSpec &trace)
 {
-    sim::Simulation sim;
-    Fleet fleet;
-    obs::Registry registry;
-    ClusterStats stats;
-    cluster::LeastOutstandingPolicy policy;
+    cluster::ScenarioSpec s;
+    s.fleet.nodes = 2;
+    s.fleet.dpusPerNode = 1;
+    s.trace = trace;
+    s.admission = admission;
+    return s;
+}
 
-    explicit Harness(std::uint64_t seed = 42)
-        : sim(seed), fleet(sim, spec()), stats(registry)
-    {
-        fleet.registerCpuFunction(
-            "helloworld", {hw::PuType::HostCpu, hw::PuType::Dpu});
-        fleet.registerCpuFunction(
-            "pyaes", {hw::PuType::HostCpu, hw::PuType::Dpu});
-        fleet.start();
-    }
-
-    static FleetSpec
-    spec()
-    {
-        FleetSpec s;
-        s.nodes = 2;
-        s.dpusPerNode = 1;
-        return s;
-    }
-
-    ClusterSummary
-    run(const AdmissionOptions &admission, const load::TraceSpec &trace)
-    {
-        cluster::GatewayConfig cfg =
-            cluster::GatewayConfig::forFunctions(
-                {"helloworld", "pyaes"}, stats);
-        cfg.admission = admission;
-        cfg.dispatch = &policy;
-        ClusterGateway gateway(fleet, cfg);
-        load::OpenLoopGenerator gen(trace);
-        const SimTime t0 = sim.now();
-        sim.spawn(load::drive(sim, gen, gateway));
-        sim.run();
-        EXPECT_TRUE(gateway.idle());
-        return stats.summarize(sim.now() - t0, fleet.coreTable());
-    }
-};
+ClusterSummary
+run(const AdmissionOptions &admission, const load::TraceSpec &trace)
+{
+    const cluster::ScenarioResult r =
+        cluster::runScenario(spec(admission, trace));
+    EXPECT_TRUE(r.drained);
+    return r.summary;
+}
 
 void
 expectTenantRowsConserve(const ClusterSummary &s)
@@ -128,11 +101,10 @@ expectTenantRowsConserve(const ClusterSummary &s)
 
 TEST(TenantAccountingTest, RowsConserveUnderShedding)
 {
-    Harness h;
     AdmissionOptions admission;
     admission.tokensPerSecond = 50.0;
     admission.bucketCapacity = 10.0;
-    const auto s = h.run(admission, twoTenantTrace(300.0, 4.0));
+    const auto s = run(admission, twoTenantTrace(300.0, 4.0));
     EXPECT_GT(s.shed, 0);
     expectTenantRowsConserve(s);
     // The 3:1 share split shows up in per-tenant arrivals.
@@ -144,12 +116,11 @@ TEST(TenantAccountingTest, RowsConserveUnderShedding)
 
 TEST(TenantAccountingTest, RowsConserveUnderDropNewest)
 {
-    Harness h;
     AdmissionOptions admission;
     admission.maxOutstandingPerNode = 1;
     admission.queueCapacity = 4;
     admission.dropPolicy = DropPolicy::DropNewest;
-    const auto s = h.run(admission, twoTenantTrace(400.0, 2.0));
+    const auto s = run(admission, twoTenantTrace(400.0, 2.0));
     EXPECT_GT(s.dropped, 0);
     expectTenantRowsConserve(s);
 }
@@ -159,12 +130,11 @@ TEST(TenantAccountingTest, RowsConserveUnderDropOldestEviction)
     // DropOldest charges the drop to the *evicted* arrival's tenant,
     // not the newcomer's — per-tenant conservation only balances if
     // the attribution is consistent on both sides of the eviction.
-    Harness h;
     AdmissionOptions admission;
     admission.maxOutstandingPerNode = 1;
     admission.queueCapacity = 4;
     admission.dropPolicy = DropPolicy::DropOldest;
-    const auto s = h.run(admission, twoTenantTrace(400.0, 2.0));
+    const auto s = run(admission, twoTenantTrace(400.0, 2.0));
     EXPECT_GT(s.dropped, 0);
     expectTenantRowsConserve(s);
     EXPECT_GT(s.tenants[0].dropped + s.tenants[1].dropped, 0);
@@ -172,9 +142,8 @@ TEST(TenantAccountingTest, RowsConserveUnderDropOldestEviction)
 
 TEST(TenantAccountingTest, LatencyRowsArePerTenant)
 {
-    Harness h;
     AdmissionOptions admission;
-    const auto s = h.run(admission, twoTenantTrace(100.0, 3.0));
+    const auto s = run(admission, twoTenantTrace(100.0, 3.0));
     for (const auto &t : s.tenants) {
         ASSERT_GT(t.completed, 0);
         EXPECT_GT(t.p50Us, 0.0);
@@ -200,16 +169,19 @@ TEST(TenantAccountingTest, DigestCoversTenantSplit)
 TEST(TenantAccountingTest, TelemetryAttachmentDoesNotPerturb)
 {
     const auto digest = [](bool telemetry) {
-        Harness h;
-        obs::TimeSeries ts(h.sim, {SimTime::seconds(1)});
-        if (telemetry)
-            h.stats.attachTelemetry(&ts);
         AdmissionOptions admission;
         admission.tokensPerSecond = 80.0;
-        h.run(admission, twoTenantTrace(150.0, 3.0));
+        sim::Simulation sim(42);
+        cluster::Scenario scenario(
+            sim, spec(admission, twoTenantTrace(150.0, 3.0)));
+        obs::TimeSeries ts(sim, {SimTime::seconds(1)});
+        if (telemetry)
+            scenario.stats().attachTelemetry(&ts);
+        const cluster::ScenarioResult r = scenario.run();
+        EXPECT_TRUE(r.drained);
         if (telemetry)
             ts.flush();
-        return h.stats.digest();
+        return r.statsDigest;
     };
     EXPECT_EQ(digest(false), digest(true));
 }

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "obs/metrics_export.hh"
 #include "obs/registry.hh"
 #include "obs/timeseries.hh"
 #include "sim/simulation.hh"
@@ -339,6 +341,51 @@ TEST(TimeSeries, DigestReproducesAcrossRuns)
     const std::uint64_t a = run();
     EXPECT_NE(a, 0u);
     EXPECT_EQ(a, run());
+}
+
+TEST(TimeSeries, DigestAndExportsIgnoreSeriesCreationOrder)
+{
+    // One feed, two collectors whose series were created in opposite
+    // order: the ids differ, what was measured does not.
+    struct Views
+    {
+        std::uint32_t requestsId = 0;
+        std::uint64_t digest = 0;
+        std::string timeline;
+        std::string openMetrics;
+    };
+    const auto run = [](bool reversed) {
+        sim::Simulation sim(7);
+        obs::TimeSeries ts(sim);
+        std::uint32_t requests = 0;
+        std::uint32_t lat = 0;
+        std::uint32_t depth = 0;
+        if (reversed) {
+            depth = ts.gaugeId("depth", -1, 0);
+            lat = ts.histogramId("lat", 1);
+            requests = ts.counterId("requests", 0);
+        } else {
+            requests = ts.counterId("requests", 0);
+            lat = ts.histogramId("lat", 1);
+            depth = ts.gaugeId("depth", -1, 0);
+        }
+        for (int i = 1; i <= 25; ++i)
+            sim.schedule(SimTime::milliseconds(i * 113), [&, i] {
+                ts.count(requests);
+                ts.observe(lat, double(i * 10));
+                ts.set(depth, double(i % 7));
+            });
+        sim.run();
+        ts.flush();
+        return Views{requests, ts.digest(), obs::jsonLinesTimeline(ts),
+                     obs::openMetricsText(ts)};
+    };
+    const Views forward = run(false);
+    const Views reversed = run(true);
+    ASSERT_NE(forward.requestsId, reversed.requestsId);
+    EXPECT_EQ(forward.digest, reversed.digest);
+    EXPECT_EQ(forward.timeline, reversed.timeline);
+    EXPECT_EQ(forward.openMetrics, reversed.openMetrics);
 }
 
 TEST(TimeSeries, FlushClosesPartialTail)

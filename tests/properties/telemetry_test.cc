@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/gateway.hh"
+#include "cluster/scenario.hh"
 #include "obs/slo.hh"
 #include "obs/timeseries.hh"
 #include "sim/simulation.hh"
@@ -41,21 +41,21 @@ struct Triple
 Triple
 saturatedRun(std::uint64_t seed)
 {
+    cluster::ScenarioSpec spec;
+    spec.fleet.nodes = 2;
+    spec.fleet.dpusPerNode = 1;
+    spec.trace.seed = seed;
+    spec.trace.ratePerSecond = 400.0;
+    spec.trace.duration = SimTime::seconds(10);
+    spec.trace.functions = {"helloworld", "pyaes"};
+    spec.admission.tokensPerSecond = 0.0;
+    spec.admission.queueCapacity = 8192;
+    spec.admission.maxOutstandingPerNode = 48;
     sim::Simulation sim(seed);
-    cluster::FleetSpec fleetSpec;
-    fleetSpec.nodes = 2;
-    fleetSpec.dpusPerNode = 1;
-    cluster::Fleet fleet(sim, fleetSpec);
-    fleet.registerCpuFunction(
-        "helloworld", {hw::PuType::HostCpu, hw::PuType::Dpu});
-    fleet.registerCpuFunction(
-        "pyaes", {hw::PuType::HostCpu, hw::PuType::Dpu});
-    fleet.start();
+    cluster::Scenario scenario(sim, spec);
 
-    obs::Registry registry;
-    cluster::ClusterStats stats(registry);
     obs::TimeSeries ts(sim, {SimTime::seconds(1)});
-    stats.attachTelemetry(&ts);
+    scenario.stats().attachTelemetry(&ts);
 
     obs::SloSpec sloSpec;
     sloSpec.tenants = 1;
@@ -65,26 +65,7 @@ saturatedRun(std::uint64_t seed)
     sloSpec.objectives = {o};
     obs::SloMonitor monitor(ts, sloSpec);
 
-    cluster::LeastOutstandingPolicy policy;
-    cluster::AdmissionOptions admission;
-    admission.tokensPerSecond = 0.0;
-    admission.queueCapacity = 8192;
-    admission.maxOutstandingPerNode = 48;
-    cluster::GatewayConfig cfg = cluster::GatewayConfig::forFunctions(
-        {"helloworld", "pyaes"}, stats);
-    cfg.admission = admission;
-    cfg.dispatch = &policy;
-    cluster::ClusterGateway gateway(fleet, cfg);
-
-    load::TraceSpec trace;
-    trace.seed = seed;
-    trace.ratePerSecond = 400.0;
-    trace.duration = SimTime::seconds(10);
-    trace.functions = {"helloworld", "pyaes"};
-    load::OpenLoopGenerator gen(trace);
-    const SimTime t0 = sim.now();
-    sim.spawn(load::drive(sim, gen, gateway));
-    sim.run();
+    const cluster::ScenarioResult run = scenario.run();
     ts.flush();
 
     // Window deltas conserve against the run totals.
@@ -94,15 +75,13 @@ saturatedRun(std::uint64_t seed)
         if (const obs::WindowPoint *p = w.find(completedId))
             windowSum += p->count;
     EXPECT_EQ(windowSum, ts.counterValue(completedId));
-    const auto summary =
-        stats.summarize(sim.now() - t0, fleet.coreTable());
-    EXPECT_EQ(windowSum, summary.completed);
+    EXPECT_EQ(windowSum, run.summary.completed);
 
     // Saturation means the latency objective cannot stay green.
     EXPECT_GT(monitor.alertCount(), 0u);
     EXPECT_GT(ts.windowsClosed(), 0u);
 
-    return {stats.digest(), ts.digest(), monitor.alertDigest()};
+    return {run.statsDigest, ts.digest(), monitor.alertDigest()};
 }
 
 TEST(TelemetryDeterminism, TripleMatchesSerialRerunAndSweepRunner)

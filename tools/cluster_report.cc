@@ -15,8 +15,8 @@
  * --check enforces the invariants (per seed):
  *   - generator stream digests are bit-identical serial vs SweepRunner
  *     for every arrival process (Poisson, MMPP, diurnal);
- *   - arrival accounting conserves: arrivals = admitted + shed +
- *     dropped, and admitted = completed + errors;
+ *   - arrival accounting conserves: generated = arrivals =
+ *     admitted + shed + dropped, and admitted = completed + errors;
  *   - below-saturation rungs shed and drop nothing;
  *   - the top rung generates >= 1M arrivals and provably sheds;
  *   - percentiles are sane (p50 <= p99 <= p999, all > 0) and per-PU
@@ -33,9 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/gateway.hh"
+#include "cluster/scenario.hh"
 #include "load/generator.hh"
-#include "sim/simulation.hh"
 #include "sim/sweep.hh"
 #include "sim/table.hh"
 
@@ -43,9 +42,7 @@ namespace {
 
 using namespace molecule;
 using sim::SimTime;
-
-/** The admitted rate the token bucket polices (invocations/s). */
-constexpr double kAdmittedPerSecond = 300.0;
+using sim::Table;
 
 /** Ladder rungs as multiples of the admitted rate. */
 struct Rung
@@ -67,75 +64,17 @@ constexpr std::uint64_t kTopRungArrivals = 1'050'000;
 
 constexpr std::uint64_t kSeeds[] = {42, 7, 1};
 
-load::TraceSpec
-makeSpec(std::uint64_t seed, double rate, load::ArrivalKind kind)
+constexpr double kTopRate = cluster::kLadderAdmittedPerSecond *
+                            kRungs[std::size(kRungs) - 1].factor;
+
+cluster::ScenarioSpec
+makeSpec(std::uint64_t seed, double rate)
 {
-    load::TraceSpec spec;
-    spec.seed = seed;
-    spec.ratePerSecond = rate;
-    spec.arrival = kind;
     // Top rung duration clears the 1M-arrival floor; every rung uses
     // the same horizon so throughput columns are comparable.
-    const double topRate =
-        kAdmittedPerSecond * kRungs[std::size(kRungs) - 1].factor;
-    spec.duration = SimTime::fromSeconds(
-        double(kTopRungArrivals) / topRate);
-    spec.functions = {"helloworld", "pyaes", "dd", "gzip-compression"};
-    spec.tenants = {
-        {"alpha", 3.0, 1.1, 1},
-        {"beta", 1.0, 0.8, 2},
-    };
-    return spec;
-}
-
-struct RunOutcome
-{
-    cluster::ClusterSummary summary;
-    std::uint64_t digest = 0;
-    std::uint64_t generated = 0;
-};
-
-RunOutcome
-runRung(std::uint64_t seed, double rate)
-{
-    sim::Simulation sim(seed);
-    cluster::FleetSpec fleetSpec;
-    fleetSpec.nodes = 4;
-    fleetSpec.dpusPerNode = 2;
-    cluster::Fleet fleet(sim, fleetSpec);
-
-    load::TraceSpec spec =
-        makeSpec(seed, rate, load::ArrivalKind::Poisson);
-    for (const auto &fn : spec.functions)
-        fleet.registerCpuFunction(fn,
-                                  {hw::PuType::HostCpu, hw::PuType::Dpu});
-    fleet.start();
-
-    obs::Registry registry;
-    cluster::ClusterStats stats(registry);
-    cluster::LeastOutstandingPolicy policy;
-    cluster::AdmissionOptions admission;
-    admission.tokensPerSecond = kAdmittedPerSecond;
-    admission.bucketCapacity = 200.0;
-    admission.queueCapacity = 2048;
-    admission.maxOutstandingPerNode = 96;
-    admission.invoke.maxAttempts = 2;
-    cluster::GatewayConfig gwCfg =
-        cluster::GatewayConfig::forFunctions(spec.functions, stats);
-    gwCfg.admission = admission;
-    gwCfg.dispatch = &policy;
-    cluster::ClusterGateway gateway(fleet, gwCfg);
-
-    load::OpenLoopGenerator gen(spec);
-    const SimTime t0 = sim.now();
-    sim.spawn(load::drive(sim, gen, gateway));
-    sim.run();
-
-    RunOutcome out;
-    out.summary = stats.summarize(sim.now() - t0, fleet.coreTable());
-    out.digest = stats.digest();
-    out.generated = gen.emitted();
-    return out;
+    return cluster::clusterLadder(
+        seed, rate,
+        SimTime::fromSeconds(double(kTopRungArrivals) / kTopRate));
 }
 
 double
@@ -149,37 +88,20 @@ meanUtilization(const cluster::ClusterSummary &s)
     return total / double(s.utilization.size());
 }
 
-std::string
-hex(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  (unsigned long long)v);
-    return buf;
-}
-
-std::string
-fmt(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.1f", v);
-    return buf;
-}
-
 /**
  * Cross-check every arrival process: the stream digest computed
  * serially must equal the one computed on a SweepRunner worker.
  */
 bool
-checkGeneratorDigests(std::uint64_t seed, sim::Table &table)
+checkGeneratorDigests(std::uint64_t seed, Table &table)
 {
-    const double topRate =
-        kAdmittedPerSecond * kRungs[std::size(kRungs) - 1].factor;
     std::vector<load::TraceSpec> specs;
     for (load::ArrivalKind kind :
          {load::ArrivalKind::Poisson, load::ArrivalKind::Mmpp,
-          load::ArrivalKind::Diurnal})
-        specs.push_back(makeSpec(seed, topRate, kind));
+          load::ArrivalKind::Diurnal}) {
+        specs.push_back(makeSpec(seed, kTopRate).trace);
+        specs.back().arrival = kind;
+    }
 
     std::vector<std::uint64_t> serial;
     serial.reserve(specs.size());
@@ -196,8 +118,8 @@ checkGeneratorDigests(std::uint64_t seed, sim::Table &table)
         const bool match = serial[i] == threaded[i];
         ok = ok && match;
         table.row({std::to_string(seed),
-                   load::toString(specs[i].arrival), hex(serial[i]),
-                   match ? "yes" : "NO"});
+                   load::toString(specs[i].arrival),
+                   Table::hex(serial[i]), match ? "yes" : "NO"});
     }
     return ok;
 }
@@ -207,7 +129,7 @@ struct Row
     std::uint64_t seed;
     const Rung *rung;
     double rate;
-    RunOutcome outcome;
+    cluster::ScenarioResult outcome;
 };
 
 void
@@ -233,7 +155,7 @@ writeJson(const std::string &path, const std::vector<Row> &rows)
             (long long)s.completed, (long long)s.errors,
             (long long)s.queueMaxDepth, s.throughputPerSecond, s.p50Us,
             s.p99Us, s.p999Us, meanUtilization(s),
-            hex(r.outcome.digest).c_str(),
+            Table::hex(r.outcome.statsDigest).c_str(),
             i + 1 < rows.size() ? "," : "");
         out << buf;
     }
@@ -252,8 +174,8 @@ report(bool check, const std::string &jsonPath,
         pass = false;
     };
 
-    sim::Table digests("Generator stream digests, serial vs "
-                       "SweepRunner");
+    Table digests("Generator stream digests, serial vs "
+                  "SweepRunner");
     digests.header({"seed", "arrival", "digest", "match"});
     for (std::uint64_t seed : seeds)
         if (!checkGeneratorDigests(seed, digests))
@@ -261,9 +183,9 @@ report(bool check, const std::string &jsonPath,
     digests.print();
     std::printf("\n");
 
-    sim::Table table("Cluster ladder: 4-node CPU+DPU fleet, "
-                     "least-outstanding dispatch, token bucket at "
-                     "300/s");
+    Table table("Cluster ladder: 4-node CPU+DPU fleet, "
+                "least-outstanding dispatch, token bucket at "
+                "300/s");
     table.header({"seed", "rung", "arrivals", "admitted", "shed",
                   "dropped", "completed", "p50us", "p99us", "p999us",
                   "qmax", "util"});
@@ -271,20 +193,26 @@ report(bool check, const std::string &jsonPath,
     std::vector<Row> rows;
     for (std::uint64_t seed : seeds) {
         for (const Rung &rung : kRungs) {
-            const double rate = kAdmittedPerSecond * rung.factor;
-            Row row{seed, &rung, rate, runRung(seed, rate)};
+            const double rate =
+                cluster::kLadderAdmittedPerSecond * rung.factor;
+            Row row{seed, &rung, rate,
+                    cluster::runScenario(makeSpec(seed, rate))};
             const cluster::ClusterSummary &s = row.outcome.summary;
             table.row({std::to_string(seed), rung.label,
                        std::to_string(s.arrivals),
                        std::to_string(s.admitted),
                        std::to_string(s.shed),
                        std::to_string(s.dropped),
-                       std::to_string(s.completed), fmt(s.p50Us),
-                       fmt(s.p99Us), fmt(s.p999Us),
+                       std::to_string(s.completed),
+                       Table::num(s.p50Us, 1), Table::num(s.p99Us, 1),
+                       Table::num(s.p999Us, 1),
                        std::to_string(s.queueMaxDepth),
-                       fmt(meanUtilization(s) * 100.0)});
+                       Table::num(meanUtilization(s) * 100.0, 1)});
             rows.push_back(row);
 
+            if (std::uint64_t(s.arrivals) != row.outcome.generated)
+                fail(seed, rung.label,
+                     "gateway arrivals != generator emissions");
             if (s.arrivals != s.admitted + s.shed + s.dropped)
                 fail(seed, rung.label,
                      "arrivals != admitted + shed + dropped");

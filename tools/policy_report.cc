@@ -24,7 +24,8 @@
  *     the price-ordered default on the saturated rung (the DPU-bound
  *     ceiling is the bug this policy exists to fix);
  *   - per-combo digest triples are bit-identical serial vs re-run vs
- *     SweepRunner;
+ *     SweepRunner, and no two combos share one at the saturated rung
+ *     (a combo the scenario cannot tell apart races nothing);
  *   - the Pareto frontier is non-empty and none of its points is
  *     dominated.
  *
@@ -39,20 +40,17 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cost.hh"
-#include "cluster/gateway.hh"
-#include "load/generator.hh"
-#include "sim/simulation.hh"
+#include "cluster/scenario.hh"
 #include "sim/sweep.hh"
 #include "sim/table.hh"
 
 namespace {
 
 using namespace molecule;
+using cluster::kRaceCeilingPerSecond;
+using cluster::ScenarioResult;
 using sim::SimTime;
-
-/** Measured DPU-bound fleet ceiling (price-ordered, 4x2 BF2). */
-constexpr double kCeilingPerSecond = 480.0;
+using sim::Table;
 
 /** Rungs as multiples of the DPU-bound ceiling. */
 struct Rung
@@ -72,7 +70,14 @@ constexpr double kHorizonSeconds = 30.0;
 
 constexpr std::uint64_t kSeeds[] = {42, 7, 1};
 
-/** One raced configuration. */
+/**
+ * One raced configuration. Every combo keeps LRU: with 256 warm
+ * instances per (function, PU) and four functions nothing is ever
+ * evicted here, so a keep-alive strategy cannot change this race
+ * (--check asserts no two combos share a digest triple). Keep-alive
+ * is raced where the warm budget binds: prop_policy_test,
+ * core_keepalive_test and bench_ablation_keepalive.
+ */
 struct Combo
 {
     const char *label;
@@ -90,118 +95,33 @@ combos()
          core::KeepAliveConfig::lru()},
         {"lo+lru", core::PlacementConfig::locality(),
          core::KeepAliveConfig::lru()},
-        {"po+gd", core::PlacementConfig::priceOrdered(),
-         core::KeepAliveConfig::greedyDual()},
-        {"po+hist", core::PlacementConfig::priceOrdered(),
-         core::KeepAliveConfig::histogram()},
     };
 }
-
-load::TraceSpec
-makeSpec(std::uint64_t seed, double rate)
-{
-    load::TraceSpec spec;
-    spec.seed = seed;
-    spec.ratePerSecond = rate;
-    spec.duration = SimTime::fromSeconds(kHorizonSeconds);
-    spec.functions = {"helloworld", "pyaes", "dd", "gzip-compression"};
-    spec.tenants = {
-        {"alpha", 3.0, 1.1, 1},
-        {"beta", 1.0, 0.8, 2},
-    };
-    return spec;
-}
-
-struct PolicyOutcome
-{
-    cluster::ClusterSummary summary;
-    std::uint64_t statsDigest = 0;
-    std::uint64_t placeDigest = 0;
-    std::uint64_t evictDigest = 0;
-    std::uint64_t generated = 0;
-};
 
 /**
  * One full fleet run under @p combo. @p installPolicies false leaves
  * the runtime options untouched (the implicit defaults) — the
  * policy-swap-does-not-perturb control arm.
  */
-PolicyOutcome
+ScenarioResult
 runCombo(std::uint64_t seed, double rate, const Combo &combo,
          bool installPolicies = true)
 {
-    sim::Simulation sim(seed);
-    cluster::FleetSpec fleetSpec;
-    fleetSpec.nodes = 4;
-    fleetSpec.dpusPerNode = 2;
+    cluster::ScenarioSpec spec = cluster::policyRace(
+        seed, rate, SimTime::fromSeconds(kHorizonSeconds));
     if (installPolicies) {
-        fleetSpec.runtime.placement = combo.placement;
-        fleetSpec.runtime.startup.keepAlive = combo.keepAlive;
+        spec.fleet.runtime.placement = combo.placement;
+        spec.fleet.runtime.startup.keepAlive = combo.keepAlive;
     }
-    cluster::Fleet fleet(sim, fleetSpec);
-
-    load::TraceSpec spec = makeSpec(seed, rate);
-    for (const auto &fn : spec.functions)
-        fleet.registerCpuFunction(fn,
-                                  {hw::PuType::HostCpu, hw::PuType::Dpu});
-    fleet.start();
-
-    obs::Registry registry;
-    cluster::ClusterStats stats(registry);
-    cluster::CostModel cost;
-    stats.setCostModel(&cost, fleet.puTypeTable());
-
-    cluster::GatewayConfig gwCfg =
-        cluster::GatewayConfig::forFunctions(spec.functions, stats);
-    gwCfg.admission.tokensPerSecond = 0.0; // capacity binds, not policing
-    gwCfg.admission.queueCapacity = 2048;
-    gwCfg.admission.maxOutstandingPerNode = 96;
-    gwCfg.admission.invoke.maxAttempts = 2;
-    cluster::ClusterGateway gateway(fleet, gwCfg);
-
-    load::OpenLoopGenerator gen(spec);
-    const SimTime t0 = sim.now();
-    sim.spawn(load::drive(sim, gen, gateway));
-    sim.run();
-
-    PolicyOutcome out;
-    out.summary = stats.summarize(sim.now() - t0, fleet.coreTable());
-    out.statsDigest = stats.digest();
-    out.generated = gen.emitted();
-    sim::Fingerprint placeFp;
-    sim::Fingerprint evictFp;
-    for (int i = 0; i < fleet.size(); ++i) {
-        placeFp.mix(fleet.node(i).scheduler().placementDigest());
-        evictFp.mix(fleet.node(i).startup().evictionDigest());
-    }
-    out.placeDigest = placeFp.digest();
-    out.evictDigest = evictFp.digest();
-    return out;
+    return cluster::runScenario(spec);
 }
 
 bool
-sameTriple(const PolicyOutcome &a, const PolicyOutcome &b)
+sameTriple(const ScenarioResult &a, const ScenarioResult &b)
 {
     return a.statsDigest == b.statsDigest &&
-           a.placeDigest == b.placeDigest &&
-           a.evictDigest == b.evictDigest;
-}
-
-std::string
-hex(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  (unsigned long long)v);
-    return buf;
-}
-
-std::string
-fmt(double v, int precision = 1)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-    return buf;
+           a.placementDigest == b.placementDigest &&
+           a.evictionDigest == b.evictionDigest;
 }
 
 struct Row
@@ -209,7 +129,7 @@ struct Row
     std::uint64_t seed;
     const Rung *rung;
     std::string combo;
-    PolicyOutcome outcome;
+    ScenarioResult outcome;
 };
 
 void
@@ -235,9 +155,10 @@ writeJson(const std::string &path, const std::vector<Row> &rows)
             (long long)s.admitted, (long long)s.dropped,
             (long long)s.completed, (long long)s.errors,
             s.throughputPerSecond, s.p50Us, s.p99Us, s.totalCost,
-            s.costPerInvocation, hex(r.outcome.statsDigest).c_str(),
-            hex(r.outcome.placeDigest).c_str(),
-            hex(r.outcome.evictDigest).c_str(),
+            s.costPerInvocation,
+            Table::hex(r.outcome.statsDigest).c_str(),
+            Table::hex(r.outcome.placementDigest).c_str(),
+            Table::hex(r.outcome.evictionDigest).c_str(),
             i + 1 < rows.size() ? "," : "");
         out << buf;
     }
@@ -257,8 +178,8 @@ report(bool check, const std::string &jsonPath,
 
     const std::vector<Combo> race = combos();
 
-    sim::Table table("Policy race: 4-node 2xBF2 fleet, open gateway, "
-                     "identical seeded streams");
+    Table table("Policy race: 4-node 2xBF2 fleet, open gateway, "
+                "identical seeded streams");
     table.header({"seed", "rung", "combo", "arrivals", "completed",
                   "dropped", "p50us", "p99us", "thr/s", "cost$",
                   "$/1k inv"});
@@ -268,10 +189,11 @@ report(bool check, const std::string &jsonPath,
         // Policy swap must not perturb: explicit defaults vs a fleet
         // that never touched the policy knobs.
         {
-            const double rate = kCeilingPerSecond * kRungs[0].factor;
-            const PolicyOutcome implicit =
+            const double rate =
+                kRaceCeilingPerSecond * kRungs[0].factor;
+            const ScenarioResult implicit =
                 runCombo(seed, rate, race[0], false);
-            const PolicyOutcome explicitDefaults =
+            const ScenarioResult explicitDefaults =
                 runCombo(seed, rate, race[0], true);
             if (!sameTriple(implicit, explicitDefaults))
                 fail(seed,
@@ -279,21 +201,23 @@ report(bool check, const std::string &jsonPath,
                      "perturbed the digest triple");
         }
 
-        std::vector<PolicyOutcome> saturated(race.size());
+        std::vector<ScenarioResult> saturated(race.size());
         for (const Rung &rung : kRungs) {
-            const double rate = kCeilingPerSecond * rung.factor;
+            const double rate = kRaceCeilingPerSecond * rung.factor;
             for (std::size_t c = 0; c < race.size(); ++c) {
-                const PolicyOutcome o = runCombo(seed, rate, race[c]);
+                const ScenarioResult o =
+                    runCombo(seed, rate, race[c]);
                 if (rung.saturated)
                     saturated[c] = o;
                 const cluster::ClusterSummary &s = o.summary;
                 table.row({std::to_string(seed), rung.label,
                            race[c].label, std::to_string(s.arrivals),
                            std::to_string(s.completed),
-                           std::to_string(s.dropped), fmt(s.p50Us),
-                           fmt(s.p99Us), fmt(s.throughputPerSecond),
-                           fmt(s.totalCost, 4),
-                           fmt(s.costPerInvocation * 1000.0, 6)});
+                           std::to_string(s.dropped),
+                           Table::num(s.p50Us, 1), Table::num(s.p99Us, 1),
+                           Table::num(s.throughputPerSecond, 1),
+                           Table::num(s.totalCost, 4),
+                           Table::num(s.costPerInvocation * 1000.0, 6)});
                 rows.push_back(
                     Row{seed, &rung, race[c].label, o});
 
@@ -326,30 +250,40 @@ report(bool check, const std::string &jsonPath,
             saturated[0].summary.throughputPerSecond)
             fail(seed, "load-aware did not raise saturated service "
                        "rate over price-ordered (" +
-                           fmt(saturated[1].summary
-                                   .throughputPerSecond) +
+                           Table::num(saturated[1]
+                                          .summary.throughputPerSecond,
+                                      1) +
                            " <= " +
-                           fmt(saturated[0].summary
-                                   .throughputPerSecond) + "/s)");
+                           Table::num(saturated[0]
+                                          .summary.throughputPerSecond,
+                                      1) +
+                           "/s)");
         if (saturated[1].summary.p99Us >= saturated[0].summary.p99Us)
             fail(seed, "load-aware did not cut saturated p99 vs "
                        "price-ordered (" +
-                           fmt(saturated[1].summary.p99Us) +
-                           " >= " + fmt(saturated[0].summary.p99Us) +
+                           Table::num(saturated[1].summary.p99Us, 1) +
+                           " >= " +
+                           Table::num(saturated[0].summary.p99Us, 1) +
                            "us)");
 
         // Determinism: serial vs re-run vs SweepRunner, per combo.
         const double satRate =
-            kCeilingPerSecond * kRungs[std::size(kRungs) - 1].factor;
-        std::vector<PolicyOutcome> rerun(race.size());
+            kRaceCeilingPerSecond * kRungs[std::size(kRungs) - 1].factor;
+        std::vector<ScenarioResult> rerun(race.size());
         for (std::size_t c = 0; c < race.size(); ++c)
             rerun[c] = runCombo(seed, satRate, race[c]);
         sim::SweepRunner pool;
-        const auto swept = pool.map<PolicyOutcome>(
+        const auto swept = pool.map<ScenarioResult>(
             race.size(), [&](std::size_t c) {
                 return runCombo(seed, satRate, race[c]);
             });
         for (std::size_t c = 0; c < race.size(); ++c) {
+            for (std::size_t d = c + 1; d < race.size(); ++d)
+                if (sameTriple(saturated[c], saturated[d]))
+                    fail(seed, std::string(race[c].label) + " and " +
+                                   race[d].label +
+                                   " share a digest triple: the race "
+                                   "cannot tell them apart");
             if (!sameTriple(saturated[c], rerun[c]))
                 fail(seed, std::string(race[c].label) +
                                ": digest triple differs on re-run");
@@ -370,12 +304,12 @@ report(bool check, const std::string &jsonPath,
             points.push_back(p);
         }
         const auto frontier = cluster::paretoFrontier(points);
-        sim::Table pareto("Latency/cost Pareto, seed " +
-                          std::to_string(seed) + " @ saturation");
+        Table pareto("Latency/cost Pareto, seed " +
+                     std::to_string(seed) + " @ saturation");
         pareto.header({"combo", "p99us", "cost$", "thr/s", "front"});
         for (const auto &p : points)
-            pareto.row({p.label, fmt(p.p99Us), fmt(p.cost, 4),
-                        fmt(p.throughput),
+            pareto.row({p.label, Table::num(p.p99Us, 1),
+                        Table::num(p.cost, 4), Table::num(p.throughput, 1),
                         p.dominated ? "" : "*"});
         pareto.print();
         std::printf("\n");

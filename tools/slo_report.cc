@@ -32,9 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/gateway.hh"
+#include "cluster/scenario.hh"
 #include "fault/injector.hh"
-#include "load/generator.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/metrics_export.hh"
 #include "obs/slo.hh"
@@ -47,6 +46,7 @@ namespace {
 
 using namespace molecule;
 using sim::SimTime;
+using sim::Table;
 
 /** Offered load; well above what the 2-node fleet can serve. */
 constexpr double kOfferedPerSecond = 400.0;
@@ -56,19 +56,17 @@ constexpr std::uint64_t kSeeds[] = {42, 7, 1};
 /** Latency objective: 99% of requests under 20 ms. */
 constexpr double kLatencyThresholdUs = 20'000.0;
 
-load::TraceSpec
+cluster::ScenarioSpec
 makeSpec(std::uint64_t seed)
 {
-    load::TraceSpec spec;
-    spec.seed = seed;
-    spec.ratePerSecond = kOfferedPerSecond;
-    spec.arrival = load::ArrivalKind::Poisson;
-    spec.duration = SimTime::seconds(40);
-    spec.functions = {"helloworld", "pyaes", "dd", "gzip-compression"};
-    spec.tenants = {
-        {"alpha", 3.0, 1.1, 1},
-        {"beta", 1.0, 0.8, 2},
-    };
+    cluster::ScenarioSpec spec;
+    spec.fleet.nodes = 2;
+    spec.fleet.dpusPerNode = 1;
+    spec.trace = cluster::catalogueTrace(seed, kOfferedPerSecond,
+                                         SimTime::seconds(40));
+    spec.admission.tokensPerSecond = 0.0; // no policing: let the queue grow
+    spec.admission.queueCapacity = 8192;
+    spec.admission.maxOutstandingPerNode = 48;
     return spec;
 }
 
@@ -140,38 +138,27 @@ struct RunConfig
 };
 
 Outcome
-runScenario(std::uint64_t seed, const RunConfig &cfg = {})
+runObserved(std::uint64_t seed, const RunConfig &cfg = {})
 {
     sim::Simulation sim(seed);
     obs::Tracer tracer(sim, seed);
     fault::FaultState faults;
-    cluster::FleetSpec fleetSpec;
-    fleetSpec.nodes = 2;
-    fleetSpec.dpusPerNode = 1;
+    cluster::ScenarioSpec spec = makeSpec(seed);
     if (cfg.chaos) {
         // One shared fault plane: a PU index crashes on every node
         // (documented fleet-chaos semantics; the point here is the
         // recorder, not per-node blast radius).
-        fleetSpec.runtime.faults = &faults;
-        fleetSpec.runtime.tracer = &tracer;
+        spec.fleet.runtime.faults = &faults;
+        spec.fleet.runtime.tracer = &tracer;
     }
-    cluster::Fleet fleet(sim, fleetSpec);
-
-    load::TraceSpec spec = makeSpec(seed);
-    for (const auto &fn : spec.functions)
-        fleet.registerCpuFunction(fn,
-                                  {hw::PuType::HostCpu, hw::PuType::Dpu});
-    fleet.start();
-
-    obs::Registry registry;
-    cluster::ClusterStats stats(registry);
+    cluster::Scenario scenario(sim, spec);
 
     obs::TimeSeriesOptions tsOpts;
     tsOpts.window = SimTime::seconds(1);
     obs::TimeSeries ts(sim, tsOpts);
-    stats.attachTelemetry(&ts);
+    scenario.stats().attachTelemetry(&ts);
 
-    obs::SloMonitor monitor(ts, makeSloSpec(spec.tenantCount()));
+    obs::SloMonitor monitor(ts, makeSloSpec(spec.trace.tenantCount()));
 
     obs::FlightRecorderOptions frOpts;
     frOpts.keepWindows = 16;
@@ -179,18 +166,6 @@ runScenario(std::uint64_t seed, const RunConfig &cfg = {})
     obs::FlightRecorder recorder(ts, frOpts);
     monitor.addSink(&recorder);
     recorder.attachTracer(tracer);
-
-    cluster::LeastOutstandingPolicy policy;
-    cluster::AdmissionOptions admission;
-    admission.tokensPerSecond = 0.0; // no policing: let the queue grow
-    admission.queueCapacity = 8192;
-    admission.maxOutstandingPerNode = 48;
-    cluster::GatewayConfig gwCfg =
-        cluster::GatewayConfig::forFunctions(spec.functions, stats);
-    gwCfg.admission = admission;
-    gwCfg.dispatch = &policy;
-    gwCfg.recorder = &recorder;
-    cluster::ClusterGateway gateway(fleet, gwCfg);
 
     fault::Injector injector(sim, faults);
     injector.setRecorder(&recorder);
@@ -200,15 +175,13 @@ runScenario(std::uint64_t seed, const RunConfig &cfg = {})
         injector.arm(plan);
     }
 
-    load::OpenLoopGenerator gen(spec);
-    const SimTime t0 = sim.now();
-    sim.spawn(load::drive(sim, gen, gateway));
-    sim.run();
+    const cluster::ScenarioResult run =
+        scenario.run({.recorder = &recorder});
     ts.flush();
 
     Outcome out;
-    out.summary = stats.summarize(sim.now() - t0, fleet.coreTable());
-    out.statsDigest = stats.digest();
+    out.summary = run.summary;
+    out.statsDigest = run.statsDigest;
     out.windowDigest = ts.digest();
     out.alertDigest = monitor.alertDigest();
     out.windowsClosed = ts.windowsClosed();
@@ -223,7 +196,7 @@ runScenario(std::uint64_t seed, const RunConfig &cfg = {})
     // Conservation: window deltas summed over the whole run must
     // reproduce the run totals exactly — both the per-tenant series
     // fed directly and the watched cluster.* registry counters.
-    const std::uint32_t tenants = spec.tenantCount();
+    const std::uint32_t tenants = spec.trace.tenantCount();
     std::vector<std::uint32_t> completedIds;
     std::vector<std::uint32_t> errorIds;
     for (std::uint32_t t = 0; t < tenants; ++t) {
@@ -294,54 +267,6 @@ runScenario(std::uint64_t seed, const RunConfig &cfg = {})
     return out;
 }
 
-/** The stats digest must not move when a TimeSeries is attached. */
-std::uint64_t
-runWithoutTelemetry(std::uint64_t seed)
-{
-    sim::Simulation sim(seed);
-    cluster::FleetSpec fleetSpec;
-    fleetSpec.nodes = 2;
-    fleetSpec.dpusPerNode = 1;
-    cluster::Fleet fleet(sim, fleetSpec);
-    load::TraceSpec spec = makeSpec(seed);
-    for (const auto &fn : spec.functions)
-        fleet.registerCpuFunction(fn,
-                                  {hw::PuType::HostCpu, hw::PuType::Dpu});
-    fleet.start();
-    obs::Registry registry;
-    cluster::ClusterStats stats(registry);
-    cluster::LeastOutstandingPolicy policy;
-    cluster::AdmissionOptions admission;
-    admission.tokensPerSecond = 0.0;
-    admission.queueCapacity = 8192;
-    admission.maxOutstandingPerNode = 48;
-    cluster::GatewayConfig gwCfg =
-        cluster::GatewayConfig::forFunctions(spec.functions, stats);
-    gwCfg.admission = admission;
-    gwCfg.dispatch = &policy;
-    cluster::ClusterGateway gateway(fleet, gwCfg);
-    load::OpenLoopGenerator gen(spec);
-    sim.spawn(load::drive(sim, gen, gateway));
-    sim.run();
-    return stats.digest();
-}
-
-std::string
-hex(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)v);
-    return buf;
-}
-
-std::string
-fmt(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.1f", v);
-    return buf;
-}
-
 int
 report(bool check, const RunConfig &base,
        const std::vector<std::uint64_t> &seeds)
@@ -370,12 +295,12 @@ report(bool check, const RunConfig &base,
     RunConfig replay;
     replay.chaos = base.chaos;
     const auto triple = [&replay](std::uint64_t seed) {
-        const Outcome o = runScenario(seed, replay);
+        const Outcome o = runObserved(seed, replay);
         return Triple{o.statsDigest, o.windowDigest, o.alertDigest};
     };
 
-    sim::Table digests("Telemetry digests: serial vs re-run vs "
-                       "SweepRunner");
+    Table digests("Telemetry digests: serial vs re-run vs "
+                  "SweepRunner");
     digests.header({"seed", "stats", "windows", "alerts", "match"});
 
     sim::SweepRunner pool;
@@ -386,15 +311,15 @@ report(bool check, const RunConfig &base,
     std::vector<Outcome> outcomes;
     for (std::size_t i = 0; i < seeds.size(); ++i) {
         const std::uint64_t seed = seeds[i];
-        Outcome first = runScenario(seed, replay);
+        Outcome first = runObserved(seed, replay);
         const Triple serial{first.statsDigest, first.windowDigest,
                             first.alertDigest};
         const Triple rerun = triple(seed);
         const bool match =
             serial == rerun && serial == threaded[i];
-        digests.row({std::to_string(seed), hex(serial.stats),
-                     hex(serial.windows), hex(serial.alerts),
-                     match ? "yes" : "NO"});
+        digests.row({std::to_string(seed), Table::hex(serial.stats),
+                     Table::hex(serial.windows),
+                     Table::hex(serial.alerts), match ? "yes" : "NO"});
         if (!match)
             fail(seed, "digest triple serial != re-run/SweepRunner");
         outcomes.push_back(std::move(first));
@@ -406,7 +331,7 @@ report(bool check, const RunConfig &base,
         const std::uint64_t seed = seeds[i];
         const Outcome &o = outcomes[i];
 
-        sim::Table timeline(
+        Table timeline(
             "Per-tenant timeline, seed " + std::to_string(seed) +
             " (1 s windows; alpha=tenant 0, beta=tenant 1)");
         timeline.header({"win", "t0.done", "t0.p99us", "t0.over",
@@ -416,25 +341,26 @@ report(bool check, const RunConfig &base,
                 continue;
             timeline.row({std::to_string(row.window),
                           std::to_string(row.completed[0]),
-                          fmt(row.p99Us[0]),
+                          Table::num(row.p99Us[0], 1),
                           std::to_string(row.above[0]),
                           std::to_string(row.completed[1]),
-                          fmt(row.p99Us[1]),
+                          Table::num(row.p99Us[1], 1),
                           std::to_string(row.above[1]),
                           std::to_string(row.alertsAt)});
         }
         timeline.print();
 
-        sim::Table alerts("Alert transitions, seed " +
-                          std::to_string(seed));
+        Table alerts("Alert transitions, seed " +
+                     std::to_string(seed));
         alerts.header(
             {"win", "tenant", "objective", "edge", "burn3", "burn12"});
         for (const obs::AlertEvent &a : o.alerts)
             alerts.row({std::to_string(a.window),
                         std::to_string(a.tenant),
                         a.objective == 0 ? "latency-p99" : "error-rate",
-                        a.fired ? "FIRE" : "resolve", fmt(a.burnShort),
-                        fmt(a.burnLong)});
+                        a.fired ? "FIRE" : "resolve",
+                        Table::num(a.burnShort, 1),
+                        Table::num(a.burnLong, 1)});
         alerts.print();
         std::printf("\n");
 
@@ -457,7 +383,8 @@ report(bool check, const RunConfig &base,
         // The bare baseline has no fault plane, so the comparison is
         // only meaningful for the fault-free scenario shape.
         if (!base.chaos) {
-            const std::uint64_t bare = runWithoutTelemetry(seed);
+            const std::uint64_t bare =
+                cluster::runScenario(makeSpec(seed)).statsDigest;
             if (bare != o.statsDigest)
                 fail(seed,
                      "attaching TimeSeries moved the stats digest");
@@ -517,7 +444,7 @@ main(int argc, char **argv)
     if (cfg.exports || !cfg.dumpPath.empty()) {
         // Artifact exports come from the first seed's run.
         RunConfig one = cfg;
-        const Outcome o = runScenario(seeds.front(), one);
+        const Outcome o = runObserved(seeds.front(), one);
         if (!timelinePath.empty() &&
             obs::writeText(timelinePath, o.timelineJsonl))
             std::printf("timeline -> %s\n", timelinePath.c_str());
