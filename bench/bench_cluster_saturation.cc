@@ -19,6 +19,7 @@
 #include "cluster/scenario.hh"
 #include "load/generator.hh"
 #include "sim/simulation.hh"
+#include "sim/table.hh"
 
 namespace {
 
@@ -78,7 +79,7 @@ main()
                   "cluster gateway over §6 setting-1 nodes");
 
     bench::PerfSnapshot snap("items_per_second");
-    sim::Table table("Wall-clock throughput, best of 3 repetitions");
+    sim::Table table("Wall-clock throughput, median of 3 repetitions");
     table.header({"case", "items/s"});
 
     struct GenCase
@@ -92,21 +93,14 @@ main()
         {"GenDiurnalStream", load::ArrivalKind::Diurnal},
     };
     for (const auto &c : kGenCases) {
-        double best = 0.0;
-        for (int rep = 0; rep < kRepetitions; ++rep) {
-            const double rate = generatorRate(c.kind);
-            snap.record(c.name, rate);
-            best = std::max(best, rate);
-        }
-        table.row({c.name, sim::Table::num(best, 0)});
+        for (int rep = 0; rep < kRepetitions; ++rep)
+            snap.record(c.name, generatorRate(c.kind));
+        table.row({c.name, sim::Table::num(snap.value(c.name), 0)});
     }
-    double best = 0.0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-        const double rate = clusterRate();
-        snap.record("ClusterSaturatedRung", rate);
-        best = std::max(best, rate);
-    }
-    table.row({"ClusterSaturatedRung", sim::Table::num(best, 0)});
+    for (int rep = 0; rep < kRepetitions; ++rep)
+        snap.record("ClusterSaturatedRung", clusterRate());
+    table.row({"ClusterSaturatedRung",
+               sim::Table::num(snap.value("ClusterSaturatedRung"), 0)});
     table.print();
 
     if (!snap.writeJson("BENCH_cluster.json")) {

@@ -334,7 +334,7 @@ class SnapshotReporter : public benchmark::ConsoleReporter
     {
         for (const auto &run : reports) {
             if (run.run_type == Run::RT_Aggregate)
-                continue; // the snapshot keeps best-of per name
+                continue; // the snapshot keeps the median per name
             const auto it = run.counters.find("items_per_second");
             if (it != run.counters.end())
                 snap_->record(run.benchmark_name(),

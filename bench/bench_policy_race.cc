@@ -17,6 +17,7 @@
 #include "bench/common.hh"
 #include "cluster/scenario.hh"
 #include "sim/simulation.hh"
+#include "sim/table.hh"
 
 namespace {
 
@@ -66,7 +67,7 @@ main()
            "policy_report rung");
 
     PerfSnapshot snap("items_per_second");
-    sim::Table table("Wall-clock throughput, best of 3 repetitions");
+    sim::Table table("Wall-clock throughput, median of 3 repetitions");
     table.header({"case", "items/s"});
 
     struct Case
@@ -84,13 +85,9 @@ main()
          core::KeepAliveConfig::lru()},
     };
     for (const auto &c : kCases) {
-        double best = 0.0;
-        for (int rep = 0; rep < kRepetitions; ++rep) {
-            const double rate = policyRate(c.placement, c.keepAlive);
-            snap.record(c.name, rate);
-            best = std::max(best, rate);
-        }
-        table.row({c.name, sim::Table::num(best, 0)});
+        for (int rep = 0; rep < kRepetitions; ++rep)
+            snap.record(c.name, policyRate(c.placement, c.keepAlive));
+        table.row({c.name, sim::Table::num(snap.value(c.name), 0)});
     }
     table.print();
 

@@ -1,12 +1,7 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries.
- *
- * Every binary regenerates the rows/series of one paper table or
- * figure by running the full stack in simulation and printing a
- * Table. Absolute numbers come from the calibrated cost models; the
- * *shapes* (who wins, by what factor, where crossovers sit) emerge
- * from the implemented protocols.
+ * Shared helpers for the wall-clock bench binaries: the output banner
+ * and the PerfSnapshot that writes their BENCH_*.json files.
  */
 
 #ifndef MOLECULE_BENCH_COMMON_HH
@@ -18,12 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/molecule.hh"
-#include "hw/computer.hh"
-#include "obs/registry.hh"
-#include "sim/stats.hh"
-#include "sim/table.hh"
-
 namespace molecule::bench {
 
 /** Print the standard header of a bench binary. */
@@ -32,25 +21,6 @@ banner(const std::string &what, const std::string &paperRef)
 {
     std::printf("Molecule reproduction - %s\n", what.c_str());
     std::printf("Paper reference: %s\n\n", paperRef.c_str());
-}
-
-/** Format a SimTime in the unit used by the figure. */
-inline std::string
-us(sim::SimTime t, int decimals = 1)
-{
-    return sim::Table::num(t.toMicroseconds(), decimals);
-}
-
-inline std::string
-ms(sim::SimTime t, int decimals = 2)
-{
-    return sim::Table::num(t.toMilliseconds(), decimals);
-}
-
-inline std::string
-secs(sim::SimTime t, int decimals = 2)
-{
-    return sim::Table::num(t.toSeconds(), decimals);
 }
 
 /**
@@ -75,19 +45,23 @@ class PerfSnapshot
 
     /**
      * Record a measured value for @p name. Repeated records (e.g.
-     * --benchmark_repetitions) keep the fastest run as the headline:
-     * for a throughput metric the max is the least-interference
-     * estimate. Every sample is kept exactly, so the snapshot reports
-     * honest run-to-run spread (min/mean/p50/p95/p99) — the old
-     * log-bucketed histogram collapsed a handful of repetitions into
-     * one bucket and printed p50 == p95 == p99.
+     * --benchmark_repetitions) report the median as the headline
+     * value: one lucky or unlucky repetition cannot move it, where
+     * the max followed the least-loaded run. Every sample is kept
+     * exactly, so the snapshot also reports the run-to-run spread
+     * (min/mean/p50/p95/p99).
      */
     void
     record(const std::string &name, double value)
     {
-        auto &e = entry(name);
-        e.value = std::max(e.value, value);
-        e.samples.push_back(value);
+        entry(name).samples.push_back(value);
+    }
+
+    /** Headline value of @p name: the median of its samples. */
+    double
+    value(const std::string &name)
+    {
+        return percentileOf(entry(name).samples, 50);
     }
 
     /**
@@ -121,13 +95,14 @@ class PerfSnapshot
                      metric_.c_str());
         const char *sep = "\n";
         for (const auto &e : entries_) {
+            const double value = percentileOf(e.samples, 50);
             std::fprintf(f, "%s    \"%s\": {\n      \"value\": %.1f",
-                         sep, e.name.c_str(), e.value);
+                         sep, e.name.c_str(), value);
             if (e.baseline > 0.0) {
                 std::fprintf(f,
                              ",\n      \"baseline\": %.1f"
                              ",\n      \"speedup\": %.3f",
-                             e.baseline, e.value / e.baseline);
+                             e.baseline, value / e.baseline);
             }
             // Spread only means something with repetitions; a single
             // sample would just echo the value.
@@ -163,7 +138,6 @@ class PerfSnapshot
     struct Entry
     {
         std::string name;
-        double value = 0.0;
         double baseline = 0.0;
         /** Every recorded sample, in record order (exact spread). */
         std::vector<double> samples;
@@ -175,7 +149,7 @@ class PerfSnapshot
         for (auto &e : entries_)
             if (e.name == name)
                 return e;
-        entries_.push_back(Entry{name, 0.0, 0.0, {}});
+        entries_.push_back(Entry{name, 0.0, {}});
         return entries_.back();
     }
 

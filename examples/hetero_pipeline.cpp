@@ -29,14 +29,7 @@ main()
     runtime.start();
 
     // front -> interact -> smarthome -> {door, light}
-    core::ChainSpec spec;
-    spec.name = "alexa";
-    auto fns = Catalog::alexaChain();
-    spec.nodes.push_back(core::ChainNode{fns[0], -1});
-    spec.nodes.push_back(core::ChainNode{fns[1], 0});
-    spec.nodes.push_back(core::ChainNode{fns[2], 1});
-    spec.nodes.push_back(core::ChainNode{fns[3], 2});
-    spec.nodes.push_back(core::ChainNode{fns[4], 2});
+    const auto spec = core::ChainSpec::alexa();
 
     // Spread the pipeline: host CPU (0) and the two DPUs (1, 2).
     std::vector<int> placement{0, 1, 0, 1, 2};

@@ -2,6 +2,7 @@
 
 #include "hw/calibration.hh"
 #include "sim/logging.hh"
+#include "workloads/catalog.hh"
 
 namespace molecule::core {
 
@@ -17,6 +18,16 @@ ChainSpec::linear(const std::string &name,
     for (std::size_t i = 0; i < fns.size(); ++i)
         spec.nodes.push_back(ChainNode{fns[i], int(i) - 1});
     return spec;
+}
+
+ChainSpec
+ChainSpec::alexa()
+{
+    const auto fns = workloads::Catalog::alexaChain();
+    return ChainSpec{"alexa",
+                     {ChainNode{fns[0], -1}, ChainNode{fns[1], 0},
+                      ChainNode{fns[2], 1}, ChainNode{fns[3], 2},
+                      ChainNode{fns[4], 2}}};
 }
 
 /** Per-node communication state for one chain execution. */

@@ -44,6 +44,10 @@ struct ChainSpec
     static ChainSpec linear(const std::string &name,
                             const std::vector<std::string> &fns);
 
+    /** The Alexa skill DAG (Fig 12): front -> interact -> smarthome
+     * -> {door, light}, over workloads::Catalog::alexaChain(). */
+    static ChainSpec alexa();
+
     std::size_t
     edgeCount() const
     {

@@ -171,7 +171,21 @@ class InlineCallback
         bool heap;
     };
 
-    /** ops_ already taken from the source; move its payload over. */
+    /**
+     * ops_ already taken from the source; move its payload over.
+     *
+     * The trivially-copyable case copies the whole buffer, so the
+     * bytes past a smaller payload (e.g. a captureless lambda's one
+     * byte) are indeterminate. Copying indeterminate bytes through
+     * std::byte, as memcpy does, is well defined ([basic.indet]), and
+     * a fixed-size copy keeps this path branch-free; GCC 12's
+     * -Wmaybe-uninitialized cannot see that, so it is silenced here
+     * and only here.
+     */
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
     void
     relocateFrom(void *src) noexcept
     {
@@ -180,6 +194,9 @@ class InlineCallback
         else
             std::memcpy(buf_, src, kInlineBytes);
     }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
     template <typename Fn>
     static constexpr bool

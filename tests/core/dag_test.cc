@@ -11,7 +11,6 @@
 namespace {
 
 using namespace molecule;
-using core::ChainNode;
 using core::ChainSpec;
 using core::Molecule;
 using core::MoleculeOptions;
@@ -33,19 +32,6 @@ struct DagFixture : ::testing::Test
                                         {PuType::HostCpu, PuType::Dpu});
         runtime.start();
     }
-
-    /** front -> interact -> smarthome -> {door, light}. */
-    static ChainSpec
-    alexaDag()
-    {
-        ChainSpec spec;
-        spec.name = "alexa";
-        auto fns = Catalog::alexaChain();
-        spec.nodes = {ChainNode{fns[0], -1}, ChainNode{fns[1], 0},
-                      ChainNode{fns[2], 1}, ChainNode{fns[3], 2},
-                      ChainNode{fns[4], 2}};
-        return spec;
-    }
 };
 
 TEST_F(DagFixture, LinearFactoryBuildsParents)
@@ -58,11 +44,25 @@ TEST_F(DagFixture, LinearFactoryBuildsParents)
     EXPECT_EQ(spec.edgeCount(), 2u);
 }
 
+TEST_F(DagFixture, AlexaFactoryFansOutOfSmarthome)
+{
+    // front -> interact -> smarthome -> {door, light}.
+    const auto spec = ChainSpec::alexa();
+    const auto fns = Catalog::alexaChain();
+    ASSERT_EQ(spec.nodes.size(), fns.size());
+    const int parents[] = {-1, 0, 1, 2, 2};
+    for (std::size_t i = 0; i < fns.size(); ++i) {
+        EXPECT_EQ(spec.nodes[i].fn, fns[i]);
+        EXPECT_EQ(spec.nodes[i].parent, parents[i]);
+    }
+    EXPECT_EQ(spec.edgeCount(), 4u);
+}
+
 TEST_F(DagFixture, FanOutRunsLeavesConcurrently)
 {
     // DAG e2e: the two leaves overlap, so the total is one leaf
     // shorter than the linear chain of the same five functions.
-    auto dag = runtime.runSync(runtime.invokeChain(alexaDag(),
+    auto dag = runtime.runSync(runtime.invokeChain(ChainSpec::alexa(),
                                        std::vector<int>(5, 0))).value();
     auto linear = runtime.runSync(runtime.invokeChain(
         ChainSpec::linear("alexa-linear", Catalog::alexaChain()),

@@ -26,8 +26,8 @@
 
 #include "core/molecule.hh"
 #include "hw/computer.hh"
+#include "load/generator.hh"
 #include "sim/sweep.hh"
-#include "workloads/loadgen.hh"
 
 namespace {
 
@@ -37,7 +37,6 @@ using core::Molecule;
 using core::MoleculeOptions;
 using core::PlacementConfig;
 using hw::PuType;
-using workloads::LoadGenerator;
 
 struct Triple
 {
@@ -59,18 +58,23 @@ fire(Molecule *m, std::string fn)
     (void)co_await m->invoke(fn); // the scheduler picks
 }
 
-sim::Task<>
-drive(Molecule *m, const std::vector<workloads::TraceEvent> *events)
+/** Open loop: arrivals overlap, so in-flight counts and warm pools
+ * actually exercise the policies. */
+struct Fire final : load::ArrivalSink
 {
-    auto &s = m->simulation();
-    for (const auto &ev : *events) {
-        if (ev.at > s.now())
-            co_await s.delay(ev.at - s.now());
-        // Open loop: arrivals overlap, so in-flight counts and warm
-        // pools actually exercise the policies.
-        s.spawn(fire(m, ev.fn));
+    Molecule *m;
+    const std::vector<std::string> *fns;
+
+    Fire(Molecule *runtime, const std::vector<std::string> *names)
+        : m(runtime), fns(names)
+    {}
+
+    void
+    onArrival(const load::Arrival &a) override
+    {
+        m->simulation().spawn(fire(m, (*fns)[a.fn]));
     }
-}
+};
 
 /**
  * One seeded burst against a CPU+2xDPU server: 200 req/s of a
@@ -99,14 +103,15 @@ runScenario(std::uint64_t seed, const PlacementConfig &placement,
         runtime.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
     runtime.start();
 
-    sim::Rng traceRng(seed);
-    LoadGenerator::Options lg;
-    lg.requestsPerSecond = 200;
-    lg.zipfExponent = 1.1;
-    lg.duration = sim::SimTime::seconds(5);
-    LoadGenerator gen(traceRng, fns, lg);
-    const auto trace = gen.generate();
-    sim.spawn(drive(&runtime, &trace));
+    load::TraceSpec trace;
+    trace.seed = seed;
+    trace.ratePerSecond = 200;
+    trace.duration = sim::SimTime::seconds(5);
+    trace.functions = fns;
+    trace.tenants = {load::TenantSpec{"burst", 1.0, 1.1, 0}};
+    load::OpenLoopGenerator gen(trace);
+    Fire sink(&runtime, &trace.functions);
+    sim.spawn(load::drive(sim, gen, sink));
     sim.run();
 
     Triple t;

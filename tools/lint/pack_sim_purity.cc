@@ -17,12 +17,17 @@ namespace molecule::lint {
 
 namespace {
 
-/** src/ only; bench/ is excluded at traversal level already. */
+/**
+ * src/ and the paper's figures (bench/figures/, simulation code run as
+ * a tier-1 test). The rest of bench/ reads host clocks on purpose and
+ * is excluded at traversal level.
+ */
 bool
 simPurityScope(const std::string &path)
 {
     return path.find("src/") != std::string::npos ||
-           path.rfind("src/", 0) == 0;
+           path.rfind("src/", 0) == 0 ||
+           path.find("bench/figures/") != std::string::npos;
 }
 
 class WallclockRule final : public Rule

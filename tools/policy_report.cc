@@ -76,7 +76,7 @@ constexpr std::uint64_t kSeeds[] = {42, 7, 1};
  * evicted here, so a keep-alive strategy cannot change this race
  * (--check asserts no two combos share a digest triple). Keep-alive
  * is raced where the warm budget binds: prop_policy_test,
- * core_keepalive_test and bench_ablation_keepalive.
+ * core_keepalive_test and `paper keepalive`.
  */
 struct Combo
 {

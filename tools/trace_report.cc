@@ -150,15 +150,8 @@ runFig12Scenario()
                                      hw::PuType::Dpu});
     runtime.start();
 
-    core::ChainSpec spec;
-    spec.name = "alexa";
-    auto fns = workloads::Catalog::alexaChain();
-    spec.nodes.push_back(core::ChainNode{fns[0], -1});
-    spec.nodes.push_back(core::ChainNode{fns[1], 0});
-    spec.nodes.push_back(core::ChainNode{fns[2], 1});
-    spec.nodes.push_back(core::ChainNode{fns[3], 2});
-    spec.nodes.push_back(core::ChainNode{fns[4], 2});
-    (void)runtime.runSync(runtime.invokeChain(spec, {0, 1, 0, 1, 1}));
+    (void)runtime.runSync(
+        runtime.invokeChain(core::ChainSpec::alexa(), {0, 1, 0, 1, 1}));
     return tracer.records().snapshot();
 }
 
