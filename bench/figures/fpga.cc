@@ -58,7 +58,8 @@ fpgaChain(Stack &s, const std::vector<std::string> &fns, bool shm)
     obs::ChainRecord rec;
     auto run = [](core::Molecule *m, std::vector<std::string> chain,
                   bool sh, obs::ChainRecord *out) -> sim::Task<> {
-        *out = co_await m->dag().runFpgaChain(chain, 0, sh, 4096);
+        auto r = co_await m->dag().runFpgaChain(chain, 0, sh, 4096);
+        *out = std::move(r).value();
     };
     s.sim.spawn(run(s.runtime.get(), fns, shm, &rec));
     s.sim.run();

@@ -396,8 +396,18 @@ Molecule::invokeChain(const ChainSpec &spec, std::vector<int> placement,
 {
     ChainSpec owned_spec = spec;
     std::vector<int> owned_placement = std::move(placement);
-    if (owned_placement.empty())
+    if (owned_placement.empty()) {
+        // Placement needs every node's CPU/DPU profile.
+        for (const ChainNode &node : owned_spec.nodes) {
+            const FunctionDef *def = registry_.findPtr(node.fn);
+            if (def == nullptr || def->cpuWork == nullptr)
+                co_return Error(Errc::NotFound,
+                                "chain '" + owned_spec.name +
+                                    "': no CPU/DPU function '" + node.fn +
+                                    "'");
+        }
         owned_placement = scheduler_->placeChain(owned_spec);
+    }
     for (int pu : owned_placement) {
         if (dep_->puDown(pu))
             co_return Error(Errc::PuCrashed,
@@ -409,11 +419,9 @@ Molecule::invokeChain(const ChainSpec &spec, std::vector<int> placement,
                                      obs::Layer::Core,
                                      options_.managerPu);
     root.setDetail(owned_spec.name.c_str());
-    obs::ChainRecord record =
-        co_await dag_->run(owned_spec, owned_placement,
-                           options_.dagMode, prewarm,
-                           options_.managerPu, root.ctx());
-    co_return record;
+    co_return co_await dag_->run(owned_spec, owned_placement,
+                                 options_.dagMode, prewarm,
+                                 options_.managerPu, root.ctx());
 }
 
 } // namespace molecule::core

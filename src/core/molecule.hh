@@ -202,7 +202,11 @@ class Molecule
         return run(fn, Target{Target::Gpu, gpuIndex}, opts);
     }
 
-    /** Run a chain; empty placement lets the scheduler place it. */
+    /**
+     * Run a chain; empty placement lets the scheduler place it. Bad
+     * input, a down PU and every fault mid-chain come back as a typed
+     * Error (DagEngine::run); there is no retry.
+     */
     [[nodiscard]] sim::Task<Expected<obs::ChainRecord>>
     invokeChain(const ChainSpec &spec, std::vector<int> placement = {},
                 bool prewarm = true);

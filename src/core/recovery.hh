@@ -5,7 +5,9 @@
  * The RecoveryManager is the runtime's fault::Listener: when the
  * injector crashes a PU it purges the layers that lost state (runc
  * instances, local OS processes and fifos, the XPU-Shim replica and
- * the keep-alive pools); when the PU restarts it re-synchronizes the
+ * the keep-alive pools, whose purge also drops the DAG engine's chain
+ * fabric through StartupManager's InstanceListener; an OOM kill purges
+ * the same way); when the PU restarts it re-synchronizes the
  * capability replica from a live peer and re-warms the cfork
  * templates and container pools — both as traced simulation tasks
  * ("recovery.resync", "recovery.rewarm") so trace reports can show

@@ -239,6 +239,8 @@ StartupManager::evictIfNeeded(const PoolKey &key)
         pool.erase(pool.begin() + std::ptrdiff_t(victim));
         noteEviction(key, evicted);
         co_await dep_.runcOn(key.second).destroy(evicted.sandboxId);
+        if (listener_ != nullptr)
+            listener_->onInstancesGone(key.second);
     }
 }
 
@@ -285,6 +287,8 @@ StartupManager::evictGlobal(int pu)
         pool.erase(pool.begin() + std::ptrdiff_t(victimIdx));
         noteEviction(victimKey, evicted);
         co_await dep_.runcOn(pu).destroy(evicted.sandboxId);
+        if (listener_ != nullptr)
+            listener_->onInstancesGone(pu);
     }
 }
 
@@ -419,6 +423,8 @@ StartupManager::purgePu(int pu)
     for (auto &[key, pool] : warmPools_)
         if (key.second == pu)
             pool.clear();
+    if (listener_ != nullptr)
+        listener_->onInstancesGone(pu);
 }
 
 void
@@ -427,6 +433,8 @@ StartupManager::purgeFunction(std::string_view fn, int pu)
     auto it = warmPools_.find(PoolKey{fn, pu});
     if (it != warmPools_.end())
         it->second.clear();
+    if (listener_ != nullptr)
+        listener_->onInstancesGone(pu);
 }
 
 sim::Task<>

@@ -75,6 +75,24 @@ struct AcquiredFpga
 };
 
 /**
+ * Told when the StartupManager lets instances go for good, so state
+ * kept elsewhere per instance (the DAG engine's nIPC fabric) goes with
+ * them. Called synchronously; must neither suspend nor charge time.
+ */
+class InstanceListener
+{
+  public:
+    virtual ~InstanceListener() = default;
+
+    /**
+     * Instances on @p pu died: a keep-alive eviction destroyed one, an
+     * OOM kill or a crash of @p pu killed some. The listener tells the
+     * dead ones apart through the PU's runc (find() / dead).
+     */
+    virtual void onInstancesGone(int pu) = 0;
+};
+
+/**
  * Startup manager for one deployment.
  */
 class StartupManager
@@ -129,6 +147,12 @@ class StartupManager
     sim::Task<AcquiredFpga> acquireGpu(const FunctionDef &fn,
                                        int gpuIndex,
                                        obs::SpanContext ctx = {});
+
+    /** Tell @p listener (null: nobody) when instances die. */
+    void setInstanceListener(InstanceListener *listener)
+    {
+        listener_ = listener;
+    }
 
     /** @name Fault recovery (driven by core::RecoveryManager) */
     ///@{
@@ -215,6 +239,7 @@ class StartupManager
     const FunctionRegistry &registry_;
     StartupOptions options_;
     std::unique_ptr<KeepAliveStrategy> strategy_;
+    InstanceListener *listener_ = nullptr;
     std::map<PoolKey, std::deque<WarmEntry>> warmPools_;
     std::map<int, std::vector<std::string>> fpgaHotSets_;
     /** Deployable CUDA images synthesized per GPU function. */

@@ -57,18 +57,23 @@ LocalOs::spawnProcess(const std::string &name, std::uint64_t privateBytes,
 }
 
 sim::Task<Process *>
-LocalOs::fork(Process &parent, const std::string &childName,
+LocalOs::fork(Pid parent, const std::string &childName,
               obs::SpanContext ctx)
 {
     std::string owned_name = childName;
     obs::Span span(ctx, "os.fork", obs::Layer::Os, pu_.id());
     span.setDetail(owned_name.c_str());
-    MOLECULE_ASSERT(parent.threads() == 1,
+    MOLECULE_ASSERT(findProcess(parent) != nullptr,
+                    "fork of unknown pid %d", parent);
+    MOLECULE_ASSERT(findProcess(parent)->threads() == 1,
                     "Unix fork only propagates one thread; merge "
                     "threads first (forkable runtime, §4.2)");
     co_await swDelay(calib::kForkCost);
+    // A crash of this PU during the fork reaped the parent: no child.
+    if (findProcess(parent) == nullptr)
+        co_return nullptr;
     AddressSpace space = makeAddressSpace();
-    parent.addressSpace().forkInto(space);
+    findProcess(parent)->addressSpace().forkInto(space);
     const Pid pid = nextPid_.fetchAdd(1);
     auto proc = std::make_unique<Process>(*this, pid,
                                           std::move(owned_name),

@@ -72,11 +72,12 @@ class LocalOs
                                       obs::SpanContext ctx = {});
 
     /**
-     * COW-fork @p parent. The child shares all parent regions; extra
-     * private memory can be mapped by the caller afterwards.
-     * @return nullptr when memory admission fails.
+     * COW-fork process @p parent. The child shares all parent regions;
+     * extra private memory can be mapped by the caller afterwards.
+     * @return nullptr when a crash of this PU reaped the parent
+     *         meanwhile.
      */
-    sim::Task<Process *> fork(Process &parent,
+    sim::Task<Process *> fork(Pid parent,
                               const std::string &childName,
                               obs::SpanContext ctx = {});
 

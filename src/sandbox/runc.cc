@@ -150,19 +150,24 @@ RuncRuntime::createCfork(Instance &inst, obs::SpanContext ctx)
     obs::Span span(ctx, "sandbox.cfork", obs::Layer::Sandbox,
                    os_.pu().id());
     span.setDetail(inst.funcId.c_str());
-    TemplateState &tmpl = templates_.at(inst.image->language);
+    const Language language = inst.image->language;
 
     // 1. The forkable runtime merges the template's threads into one
     //    so Unix fork propagates the full state (§4.2).
-    tmpl.proc->setThreads(1);
+    templates_.at(language).proc->setThreads(1);
     {
         obs::Span st(span.ctx(), "cfork.thread-merge",
                      obs::Layer::Sandbox, os_.pu().id());
         co_await os_.swDelay(calib::kThreadMergeCost);
     }
 
-    // 2. fork() the template: all regions are COW-shared.
-    inst.proc = co_await os_.fork(*tmpl.proc, inst.id, span.ctx());
+    // 2. fork() the template: all regions are COW-shared. A crash
+    //    during the merge dropped the template (crashPurge).
+    auto tmpl = templates_.find(language);
+    if (tmpl == templates_.end())
+        co_return false;
+    inst.proc =
+        co_await os_.fork(tmpl->second.proc->pid(), inst.id, span.ctx());
     if (!inst.proc)
         co_return false;
     inst.forked = true;

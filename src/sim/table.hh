@@ -2,8 +2,9 @@
  * @file
  * Plain-text table renderer for bench harness output.
  *
- * Every bench binary prints the rows/series of the paper figure it
- * reproduces; this renderer keeps those outputs aligned and uniform.
+ * The `paper` tool prints every figure and table it reproduces (one
+ * function each under bench/figures/) through this renderer, which
+ * keeps those outputs aligned and uniform.
  */
 
 #ifndef MOLECULE_SIM_TABLE_HH

@@ -11,7 +11,10 @@
  *    scheduler's view buffer, warm-pool keys copy no strings);
  *  - a second fresh Simulation on the same thread allocates exactly as
  *    much as the first (no thread-lifetime cache makes later runs
- *    cheaper than earlier ones).
+ *    cheaper than earlier ones);
+ *  - a warm Alexa chain, on instances an earlier chain wired, allocates
+ *    an exact committed count (the chain's bookkeeping and record; no
+ *    XPU-FIFO, client, grant or connection is made again).
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 
 #include "core/molecule.hh"
 #include "hw/computer.hh"
+#include "workloads/catalog.hh"
 
 namespace {
 
@@ -156,6 +160,35 @@ TEST(AllocGate, FreshSimulationAllocatesExactlyAsMany)
     EXPECT_EQ(first.total, second.total);
     EXPECT_EQ(first.steady, second.steady);
     EXPECT_EQ(first.warmCompletions, second.warmCompletions);
+}
+
+/**
+ * Heap allocations of 40 warm Alexa chains across CPU + 2 DPUs: 16 per
+ * chain (its bookkeeping and record), plus the keep-alive pools' deque
+ * blocks (504 B, seven parked instances each), which come in bursts of
+ * five on 9 of the 40 chains.
+ */
+constexpr int kWarmChains = 40;
+constexpr std::uint64_t kWarmChainAllocs = 40 * 16 + 9 * 5;
+
+TEST(AllocGate, WarmChainAllocatesExactly)
+{
+    sim::Simulation sim;
+    auto computer = hw::buildCpuDpuServer(sim, 2, hw::DpuGeneration::Bf1);
+    core::Molecule rt(*computer, core::MoleculeOptions{});
+    for (const auto &fn : workloads::Catalog::alexaChain())
+        rt.registerCpuFunction(fn, {hw::PuType::HostCpu, hw::PuType::Dpu});
+    rt.start();
+    const core::ChainSpec spec = core::ChainSpec::alexa();
+    const std::vector<int> cross{0, 1, 0, 1, 2};
+    // The first chain starts and wires the instances; the second grows
+    // what grows once (frame pool, buffers).
+    for (int i = 0; i < 2; ++i)
+        ASSERT_TRUE(rt.runSync(rt.invokeChain(spec, cross)).ok());
+    const std::uint64_t before = gAllocs.load();
+    for (int i = 0; i < kWarmChains; ++i)
+        ASSERT_TRUE(rt.runSync(rt.invokeChain(spec, cross)).ok());
+    EXPECT_EQ(gAllocs.load() - before, kWarmChainAllocs);
 }
 
 } // namespace

@@ -63,7 +63,8 @@ TEST_F(OsFixture, SpawnOnDpuIsSlower)
 Task<>
 forkIt(LocalOs &os, Process &parent, Process **out)
 {
-    *out = co_await os.fork(parent, parent.name() + "-child");
+    const std::string child = parent.name() + "-child";
+    *out = co_await os.fork(parent.pid(), child);
 }
 
 TEST_F(OsFixture, ForkSharesMemoryCow)

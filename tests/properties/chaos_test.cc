@@ -12,11 +12,15 @@
  *    instants and seeds) every invocation with retries either
  *    completes or returns a typed error — the Errc::Hang watchdog
  *    never fires.
+ *  - Chains too: a PU crash at any instant of a cold or a warm chain
+ *    ends it in success or a typed error, never an abort or a hang,
+ *    and the chain after the restart succeeds.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "core/molecule.hh"
 #include "fault/injector.hh"
@@ -292,6 +296,127 @@ TEST(Chaos, GpuHostCrashIsRetriedOnTheSameGpu)
     ASSERT_FALSE(failed.error().causes().empty());
     EXPECT_EQ(failed.error().causes().front().code, Errc::PuCrashed);
     EXPECT_EQ(failed.error().pusTried(), std::vector<int>{host});
+}
+
+/** A faulted chain's outcome and the outcome of the chain after it. */
+struct ChainUnderCrash
+{
+    core::Expected<obs::ChainRecord> faulted;
+    /** Sim time from the faulted chain's start to its return. */
+    SimTime took;
+    core::Expected<obs::ChainRecord> next;
+};
+
+/** Run one chain, noting when it returns. */
+sim::Task<core::Expected<obs::ChainRecord>>
+timedChain(Molecule *rt, const ChainSpec *spec,
+           const std::vector<int> *placement, SimTime *returned)
+{
+    auto r = co_await rt->invokeChain(*spec, *placement);
+    *returned = rt->simulation().now();
+    co_return r;
+}
+
+/**
+ * The Alexa chain on {0, 1, 0, 1, 0}, PU 1 crashing @p after its start
+ * for 6 ms (no crash when unset). With @p warm, one chain has wired the
+ * instances before. Each runSync drains the simulation, so the restart
+ * and the recovery are over when the second chain starts.
+ */
+ChainUnderCrash
+chainUnderCrash(bool warm, std::optional<SimTime> after)
+{
+    sim::Simulation sim(42);
+    auto computer = hw::buildCpuDpuServer(sim, 2,
+                                          hw::DpuGeneration::Bf1);
+    FaultState faults;
+    MoleculeOptions mo;
+    mo.faults = &faults;
+    Molecule runtime(*computer, mo);
+    for (const auto &fn : Catalog::alexaChain())
+        runtime.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
+    runtime.start();
+    const ChainSpec spec = ChainSpec::alexa();
+    const std::vector<int> cross{0, 1, 0, 1, 0};
+    if (warm) {
+        EXPECT_TRUE(runtime.runSync(runtime.invokeChain(spec, cross)).ok());
+    }
+
+    fault::Injector injector(sim, faults);
+    if (after) {
+        InjectionPlan plan;
+        plan.crashPu(1, sim.now() + *after, SimTime::milliseconds(6));
+        injector.arm(plan);
+    }
+    const SimTime start = sim.now();
+    SimTime returned = start;
+    auto faulted = runtime.runSync(
+        timedChain(&runtime, &spec, &cross, &returned));
+    EXPECT_TRUE(faults.puUp(1));
+    auto next = runtime.runSync(runtime.invokeChain(spec, cross));
+    return ChainUnderCrash{std::move(faulted), returned - start,
+                           std::move(next)};
+}
+
+TEST(Chaos, ChainSurvivesPuCrashAtAnyInstant)
+{
+    // Warm chains at fixed instants; cold chains (acquire, wire, run)
+    // at fractions of their fault-free duration.
+    std::vector<std::pair<bool, SimTime>> grid;
+    for (double ms : {0.1, 0.5, 2.0, 5.0, 9.0})
+        grid.emplace_back(true, SimTime::fromMilliseconds(ms));
+    const SimTime cold = chainUnderCrash(false, std::nullopt).took;
+    for (double f : {0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99})
+        grid.emplace_back(false, SimTime::fromMilliseconds(
+                                     cold.toMilliseconds() * f));
+    int failed = 0;
+    for (const auto &[warm, at] : grid) {
+        const auto out = chainUnderCrash(warm, at);
+        const std::string where = std::string(warm ? "warm" : "cold") +
+                                  " chain, crash at +" +
+                                  std::to_string(at.toMilliseconds()) +
+                                  " ms";
+        if (!out.faulted.ok()) {
+            ++failed;
+            EXPECT_EQ(out.faulted.error().code(), Errc::PuCrashed)
+                << where << ": " << out.faulted.error().toString();
+        }
+        EXPECT_TRUE(out.next.ok())
+            << where << ": the chain after the restart failed: "
+            << out.next.error().toString();
+    }
+    // The grid does hit the chains, not only the gaps between them.
+    EXPECT_GE(failed, 5);
+}
+
+TEST(Chaos, ChainRejectsBadInputTyped)
+{
+    sim::Simulation sim(42);
+    auto computer = hw::buildCpuDpuServer(sim, 1,
+                                          hw::DpuGeneration::Bf1);
+    Molecule runtime(*computer, MoleculeOptions{});
+    for (const auto &fn : Catalog::alexaChain())
+        runtime.registerCpuFunction(fn, {PuType::HostCpu, PuType::Dpu});
+    runtime.start();
+    const ChainSpec alexa = ChainSpec::alexa();
+    auto code = [&](const ChainSpec &spec, std::vector<int> placement) {
+        const auto r = runtime.runSync(
+            runtime.invokeChain(spec, std::move(placement)));
+        return r.ok() ? Errc::Ok : r.error().code();
+    };
+    EXPECT_EQ(code(alexa, {0, 1, 0}), Errc::InvalidArgument);
+    EXPECT_EQ(code(alexa, {0, 1, 0, 1, 7}), Errc::InvalidArgument);
+    EXPECT_EQ(code(ChainSpec::linear("x", {"alexa-front", "nope"}), {0, 0}),
+              Errc::NotFound);
+    EXPECT_EQ(code(ChainSpec::linear("x", {"nope"}), {}), Errc::NotFound);
+    ChainSpec twoRoots = ChainSpec::linear("x", {"alexa-front",
+                                                 "alexa-door"});
+    twoRoots.nodes[1].parent = -1;
+    EXPECT_EQ(code(twoRoots, {0, 0}), Errc::InvalidArgument);
+    EXPECT_EQ(code(ChainSpec{"empty", {}}, {}), Errc::InvalidArgument);
+    // Nothing was wired by the rejected chains; a good one still runs.
+    EXPECT_EQ(runtime.dag().fabricCount(), 0u);
+    EXPECT_EQ(code(alexa, {0, 1, 0, 1, 0}), Errc::Ok);
 }
 
 TEST(Chaos, SameScheduleSameOutcomeDigest)

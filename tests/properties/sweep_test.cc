@@ -269,7 +269,8 @@ class FpgaChainSweep
         auto run = [](Molecule *m, std::vector<std::string> c, bool s,
                       std::uint64_t b,
                       obs::ChainRecord *out) -> sim::Task<> {
-            *out = co_await m->dag().runFpgaChain(c, 0, s, b);
+            auto r = co_await m->dag().runFpgaChain(c, 0, s, b);
+            *out = std::move(r).value();
         };
         runtime.simulation().spawn(run(&runtime, fns, shm, bytes, &rec));
         runtime.simulation().run();

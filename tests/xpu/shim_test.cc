@@ -280,6 +280,13 @@ TEST_F(ShimFixture, WriteWithoutCapabilityIsDenied)
     sim.spawn(nipcWriter(*dpu1Client, "locked", 64, &res, sim));
     sim.run();
     EXPECT_EQ(res.writeStatus.code(), Errc::InvalidArgument);
+    // The owner may write its own fifo: that ends the blocked read, so
+    // no coroutine outlives the simulation (leak-checked builds).
+    NipcResult own;
+    sim.spawn(nipcWriter(*cpuClient, "locked", 64, &own, sim));
+    sim.run();
+    EXPECT_TRUE(own.writeStatus.ok()) << own.writeStatus.toString();
+    EXPECT_EQ(res.received.bytes, 64u);
 }
 
 TEST_F(ShimFixture, CloseReclaimsLazily)
