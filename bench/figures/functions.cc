@@ -385,10 +385,10 @@ fig15()
 
 /**
  * Ablation (§5 "Keep-alive policies"): plain LRU vs FaasCache-style
- * greedy-dual vs histogram keep-alive under a skewed trace and a tight
- * warm budget. Greedy-dual weighs instances by cold-start cost over
- * size, so it protects functions that are expensive to boot. Not a
- * paper figure: the paper defers this choice to FaasCache.
+ * greedy-dual keep-alive under a skewed trace and a tight warm
+ * budget. Greedy-dual weighs instances by cold-start cost over size,
+ * so it protects functions that are expensive to boot. Not a paper
+ * figure: the paper defers this choice to FaasCache.
  */
 Figure
 keepAlive()
@@ -400,8 +400,7 @@ keepAlive()
               "p95 startup (ms)"});
     for (std::size_t budget : {2, 3, 4, 6}) {
         for (const auto &keepAlive :
-             {KeepAliveConfig::lru(), KeepAliveConfig::greedyDual(),
-              KeepAliveConfig::histogram()}) {
+             {KeepAliveConfig::lru(), KeepAliveConfig::greedyDual()}) {
             const auto o = runTrace(keepAlive, budget);
             t.row({std::to_string(budget), core::toString(keepAlive.kind),
                    std::to_string(o.coldStarts), std::to_string(o.warmHits),

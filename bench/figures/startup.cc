@@ -42,10 +42,28 @@ fillMachine(int dpuCount)
     const core::FunctionDef &def =
         runtime.registry().find("image-resize");
 
-    // Baseline boots on the CPU (full footprint)...
+    // Baseline boots on the CPU (full footprint, no cfork)...
+    auto boot = [](sandbox::RuncRuntime *runc, const FunctionImage *img,
+                   int *count) -> Task<> {
+        runc->setStartupPath(StartupPath::ColdBoot);
+        while (true) {
+            const CreateRequest req{
+                "image-resize#" + std::to_string(*count), img};
+            bool ok = co_await runc->create(req);
+            if (!ok)
+                break; // admission failure: the PU is full
+            ok = co_await runc->start(req.sandboxId);
+            if (!ok)
+                break;
+            ++*count;
+        }
+    };
+    sim.spawn(boot(&runtime.deployment().runcOn(0),
+                   &def.cpuWork->image, &perPu[0]));
+    sim.run();
+    // ...Molecule cforks on the DPUs (shared runtime region).
     auto fill = [](Molecule *m, const core::FunctionDef *fn, int pu,
-                   bool cfork, int *count) -> Task<> {
-        m->startup().options().useCfork = cfork;
+                   int *count) -> Task<> {
         while (true) {
             auto acq = co_await m->startup().acquire(*fn, pu, 0);
             if (!acq.instance)
@@ -53,12 +71,8 @@ fillMachine(int dpuCount)
             ++*count;
         }
     };
-    sim.spawn(fill(&runtime, &def, 0, false, &perPu[0]));
-    sim.run();
-    // ...Molecule cforks on the DPUs (shared runtime region).
     for (int pu = 1; pu <= dpuCount; ++pu) {
-        sim.spawn(fill(&runtime, &def, pu, true,
-                       &perPu[std::size_t(pu)]));
+        sim.spawn(fill(&runtime, &def, pu, &perPu[std::size_t(pu)]));
         sim.run();
     }
     return perPu;

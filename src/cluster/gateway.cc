@@ -21,21 +21,6 @@ toString(DropPolicy p)
 }
 
 int
-RoundRobinPolicy::pick(const load::Arrival &a,
-                       std::span<const int> outstanding, int cap)
-{
-    (void)a;
-    const std::size_t n = outstanding.size();
-    for (std::size_t tried = 0; tried < n; ++tried) {
-        const std::size_t node = cursor_ % n;
-        cursor_ = (cursor_ + 1) % n;
-        if (outstanding[node] < cap)
-            return int(node);
-    }
-    return -1;
-}
-
-int
 LeastOutstandingPolicy::pick(const load::Arrival &a,
                              std::span<const int> outstanding, int cap)
 {

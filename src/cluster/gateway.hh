@@ -101,19 +101,6 @@ class DispatchPolicy
     }
 };
 
-/** Rotate through the nodes, skipping full ones. */
-class RoundRobinPolicy final : public DispatchPolicy
-{
-  public:
-    const char *name() const override { return "round-robin"; }
-
-    int pick(const load::Arrival &a, std::span<const int> outstanding,
-             int cap) override;
-
-  private:
-    std::size_t cursor_ = 0;
-};
-
 /** Join the shortest queue: fewest in-flight wins, lowest id ties. */
 class LeastOutstandingPolicy final : public DispatchPolicy
 {

@@ -5,6 +5,7 @@
 #include "load/generator.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
+#include "workloads/catalog.hh"
 
 namespace molecule::cluster {
 
@@ -113,6 +114,28 @@ policyRace(std::uint64_t seed, double ratePerSecond,
     ScenarioSpec spec = fourNodeFleet(seed, ratePerSecond, duration);
     spec.admission.tokensPerSecond = 0.0;
     spec.cost.emplace();
+    return spec;
+}
+
+ScenarioSpec
+churnRace(std::uint64_t seed, double ratePerSecond,
+          sim::SimTime duration)
+{
+    ScenarioSpec spec = policyRace(seed, ratePerSecond, duration);
+    std::vector<std::string> &fns = spec.trace.functions;
+    fns.clear();
+    for (const auto &fn : workloads::Catalog::functionBenchNames())
+        if (fn != "video-processing" && fn != "linpack")
+            fns.push_back(fn);
+    for (const auto &fn : workloads::Catalog::alexaChain())
+        fns.push_back(fn);
+    for (const auto &fn : workloads::Catalog::mapReduceChain())
+        fns.push_back(fn);
+    spec.trace.tenants = {
+        {"alpha", 3.0, 0.4, 1},
+        {"beta", 1.0, 0.28, 2},
+    };
+    spec.fleet.runtime.startup.globalWarmCapacityPerPu = 4;
     return spec;
 }
 

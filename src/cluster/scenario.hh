@@ -158,6 +158,17 @@ ScenarioSpec clusterLadder(std::uint64_t seed, double ratePerSecond,
  */
 ScenarioSpec policyRace(std::uint64_t seed, double ratePerSecond,
                         sim::SimTime duration);
+
+/**
+ * tools/policy_report's churn rung: policyRace's fleet, open gateway
+ * and price card under cold_churn's stream. Fourteen CPU functions
+ * (FunctionBench without video-processing and linpack, plus the Alexa
+ * and map-reduce chains); tenant alpha (share 3, Zipf 0.4) and beta
+ * (share 1, Zipf 0.28); four warm instances per PU, so keep-alive
+ * evicts and its strategy decides what stays warm.
+ */
+ScenarioSpec churnRace(std::uint64_t seed, double ratePerSecond,
+                       sim::SimTime duration);
 ///@}
 
 } // namespace molecule::cluster

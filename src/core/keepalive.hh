@@ -10,24 +10,21 @@
  * earliest-scanned entry, so a strategy only has to produce
  * deterministic scores to keep runs bit-for-bit replayable.
  *
- * Three strategies ship:
+ * Two strategies ship:
  *
  *  - lru         : oldest lastUsed first (the historical default);
  *  - greedy-dual : FaasCache-style priority clock + freq x cost /
  *                  size with clock aging on eviction — keeps
  *                  expensive-to-boot functions warm over popular
- *                  cheap ones;
- *  - histogram   : per-(function, PU) reuse-interval histogram
- *                  predicts an idle window; entries that outlived
- *                  their predicted window are evicted first (most
- *                  overdue first), entries still inside it fall back
- *                  to LRU order.
+ *                  cheap ones.
+ *
+ * policy_report's churn rung races them on cold_churn's shape, where
+ * their digest triples differ on every seed.
  */
 
 #ifndef MOLECULE_CORE_KEEPALIVE_HH
 #define MOLECULE_CORE_KEEPALIVE_HH
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -78,7 +75,7 @@ class KeepAliveStrategy
     virtual const char *name() const = 0;
 
     /** A request for (fn, pu) was observed at @p now (before the warm
-     * lookup) — reuse-interval learning hooks in here. */
+     * lookup). Neither shipped strategy learns from it. */
     virtual void
     onRequest(std::string_view fn, int pu, sim::SimTime now)
     {
@@ -145,72 +142,15 @@ class GreedyDualKeepAlive final : public KeepAliveStrategy
 };
 
 /**
- * Prediction-based idle windows: a log-bucketed histogram of observed
- * reuse intervals per (function, PU) predicts how long a parked
- * instance stays worth keeping (percentile x margin). Entries past
- * their window are evicted first, most overdue first; entries inside
- * it are protected and fall back to LRU order among themselves.
- */
-class HistogramKeepAlive final : public KeepAliveStrategy
-{
-  public:
-    struct Options
-    {
-        /** Reuse-interval percentile that sets the window. */
-        double percentile = 95.0;
-        /** Safety margin on the predicted window. */
-        double marginFactor = 1.25;
-        /** Window until enough intervals are observed, ms. */
-        double defaultWindowMs = 250.0;
-        /** Observations needed before predictions kick in. */
-        std::int64_t minSamples = 4;
-    };
-
-    HistogramKeepAlive() = default;
-
-    explicit HistogramKeepAlive(const Options &options)
-        : opts_(options)
-    {}
-
-    const char *name() const override { return "histogram"; }
-
-    void onRequest(std::string_view fn, int pu,
-                   sim::SimTime now) override;
-
-    double score(const WarmEntryView &entry,
-                 sim::SimTime now) const override;
-
-    /** Predicted idle window of (fn, pu) (tests). */
-    sim::SimTime window(std::string_view fn, int pu) const;
-
-  private:
-    /** Log2-bucketed reuse intervals (microseconds). */
-    struct Intervals
-    {
-        std::array<std::int64_t, 48> buckets{};
-        std::int64_t count = 0;
-        sim::SimTime lastSeen;
-        bool seen = false;
-    };
-
-    sim::SimTime windowOf(const Intervals &iv) const;
-
-    Options opts_;
-    std::map<PoolKey, Intervals> intervals_;
-};
-
-/**
  * Value-semantic strategy selection, safe to copy into per-node
  * MoleculeOptions (cluster::FleetSpec stamps one options template on
  * every node; each node must get its *own* stateful strategy).
  */
 struct KeepAliveConfig
 {
-    enum class Kind : std::uint8_t { Lru, GreedyDual, Histogram };
+    enum class Kind : std::uint8_t { Lru, GreedyDual };
 
     Kind kind = Kind::Lru;
-    /** Histogram knobs (ignored by the other strategies). */
-    HistogramKeepAlive::Options histogramOpts;
 
     /** Build a fresh strategy instance for one startup manager. */
     std::unique_ptr<KeepAliveStrategy> make() const;
@@ -226,23 +166,6 @@ struct KeepAliveConfig
     {
         KeepAliveConfig c;
         c.kind = Kind::GreedyDual;
-        return c;
-    }
-
-    static KeepAliveConfig
-    histogram(const HistogramKeepAlive::Options &options)
-    {
-        KeepAliveConfig c;
-        c.kind = Kind::Histogram;
-        c.histogramOpts = options;
-        return c;
-    }
-
-    static KeepAliveConfig
-    histogram()
-    {
-        KeepAliveConfig c;
-        c.kind = Kind::Histogram;
         return c;
     }
 };

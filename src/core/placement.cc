@@ -4,6 +4,14 @@ namespace molecule::core {
 
 namespace {
 
+/** In-flight invocations per core at which a PU counts as saturated
+ * and load-aware placement spills to the next-cheapest kind. */
+constexpr double kSpillLoadPerCore = 1.0;
+
+/** In-flight invocations per core beyond which locality abandons a
+ * warm PU for the load-aware pick. */
+constexpr double kAffinityLoadPerCore = 2.0;
+
 /** Candidate order of the price heuristic: cheapest profile first
  * (registration order breaks price ties), then ascending PU id. */
 bool
@@ -67,8 +75,8 @@ LoadAwarePolicy::place(const PlacementRequest &req,
     // this one is saturated".
     const PuView *best = firstBy(
         view,
-        [this](const PuView &v) {
-            return v.eligible() && v.loadPerCore() < opts_.spillThreshold;
+        [](const PuView &v) {
+            return v.eligible() && v.loadPerCore() < kSpillLoadPerCore;
         },
         [](const PuView &a, const PuView &b) {
             if (a.price != b.price)
@@ -92,9 +100,9 @@ LocalityAffinityPolicy::place(const PlacementRequest &req,
     // Most warm entries first; price order breaks ties.
     const PuView *warm = firstBy(
         view,
-        [this](const PuView &v) {
+        [](const PuView &v) {
             return v.eligible() && v.warmSandboxes > 0 &&
-                   v.loadPerCore() < opts_.loadBarrier;
+                   v.loadPerCore() < kAffinityLoadPerCore;
         },
         [](const PuView &a, const PuView &b) {
             if (a.warmSandboxes != b.warmSandboxes)
@@ -113,12 +121,9 @@ PlacementConfig::make() const
     case Kind::PriceOrdered:
         return std::make_unique<PriceOrderedPolicy>();
     case Kind::LoadAware:
-        return std::make_unique<LoadAwarePolicy>(
-            LoadAwarePolicy::Options{spillThreshold});
+        return std::make_unique<LoadAwarePolicy>();
     case Kind::Locality:
-        return std::make_unique<LocalityAffinityPolicy>(
-            LocalityAffinityPolicy::Options{loadBarrier,
-                                            spillThreshold});
+        return std::make_unique<LocalityAffinityPolicy>();
     }
     return std::make_unique<PriceOrderedPolicy>();
 }

@@ -16,16 +16,21 @@
  *                     with free memory, PUs in id order). This is the
  *                     default and reproduces the pre-policy-layer
  *                     golden digests bit for bit.
- *  - load-aware     : price-ordered until a kind saturates (in-flight
- *                     work >= spillThreshold x cores), then spills to
+ *  - load-aware     : price-ordered until a kind saturates (one
+ *                     in-flight invocation per core), then spills to
  *                     the next-cheapest kind — host CPUs absorb DPU
  *                     overload instead of queueing behind 8 ARM cores
  *                     (the DPU-bound ~480 inv/s ceiling of ROADMAP
  *                     item 1).
  *  - locality       : FDN-style affinity — prefer the PU already
  *                     holding warm sandboxes of the function (cfork
- *                     pools, keep-alive entries) unless it is badly
- *                     overloaded; falls back to load-aware spill.
+ *                     pools, keep-alive entries) unless it carries two
+ *                     in-flight invocations per core; falls back to
+ *                     load-aware spill.
+ *
+ * Both load thresholds are constants (placement.cc): every scenario
+ * ran them at these values, so no run could show a tuned one paying
+ * off.
  */
 
 #ifndef MOLECULE_CORE_PLACEMENT_HH
@@ -71,10 +76,6 @@ struct PuView
     bool down = false;
     /** Listed in PlacementRequest::exclude — never placeable. */
     bool excluded = false;
-    /** The manager->PU link is inside a degradation window. */
-    bool linkDegraded = false;
-    /** Capability epoch of the PU's shim (stale after recovery). */
-    std::uint64_t capabilityEpoch = 0;
 
     /** Health + memory admission in one test. */
     bool
@@ -162,8 +163,8 @@ class PriceOrderedPolicy final : public PlacementPolicy
 
 /**
  * Least-cost with saturation spill: prefer the cheapest kind while
- * any of its PUs has in-flight work below spillThreshold x cores;
- * once a kind saturates, spill to the next-cheapest kind instead of
+ * any of its PUs has fewer in-flight invocations than cores; once a
+ * kind saturates, spill to the next-cheapest kind instead of
  * queueing. Within a kind the least-loaded PU (per core) wins, lowest
  * id ties. When every kind is saturated, the globally least-loaded
  * eligible PU absorbs the overflow.
@@ -171,60 +172,29 @@ class PriceOrderedPolicy final : public PlacementPolicy
 class LoadAwarePolicy final : public PlacementPolicy
 {
   public:
-    struct Options
-    {
-        /** In-flight invocations per core at which a PU counts as
-         * saturated (1.0 = one invocation per core). */
-        double spillThreshold = 1.0;
-    };
-
-    LoadAwarePolicy() = default;
-
-    explicit LoadAwarePolicy(const Options &options) : opts_(options)
-    {}
-
     const char *name() const override { return "load-aware"; }
 
     int place(const PlacementRequest &req,
               const PlacementView &view) override;
-
-  private:
-    Options opts_;
 };
 
 /**
  * FDN-style locality: place where the function's state already is.
  * Among eligible PUs holding warm sandboxes of the function the most
  * warm entries win (price, then lowest id, break ties); a warm PU is
- * skipped only when its load passes loadBarrier x cores. With no warm
- * candidate the pick falls back to load-aware spill, so the first
+ * skipped once it carries two in-flight invocations per core. With no
+ * warm candidate the pick falls back to load-aware spill, so the first
  * request of a function seeds the cheapest kind and later ones stick.
  */
 class LocalityAffinityPolicy final : public PlacementPolicy
 {
   public:
-    struct Options
-    {
-        /** Load (per core) beyond which warm affinity is abandoned. */
-        double loadBarrier = 2.0;
-        /** Spill threshold of the load-aware fallback. */
-        double spillThreshold = 1.0;
-    };
-
-    LocalityAffinityPolicy() = default;
-
-    explicit LocalityAffinityPolicy(const Options &options)
-        : opts_(options),
-          fallback_(LoadAwarePolicy::Options{options.spillThreshold})
-    {}
-
     const char *name() const override { return "locality"; }
 
     int place(const PlacementRequest &req,
               const PlacementView &view) override;
 
   private:
-    Options opts_;
     LoadAwarePolicy fallback_;
 };
 
@@ -238,10 +208,6 @@ struct PlacementConfig
     enum class Kind : std::uint8_t { PriceOrdered, LoadAware, Locality };
 
     Kind kind = Kind::PriceOrdered;
-    /** LoadAware / Locality: saturation spill threshold. */
-    double spillThreshold = 1.0;
-    /** Locality: per-core load beyond which affinity is abandoned. */
-    double loadBarrier = 2.0;
 
     /** Build a fresh policy instance for one scheduler. */
     std::unique_ptr<PlacementPolicy> make() const;
@@ -253,21 +219,18 @@ struct PlacementConfig
     }
 
     static PlacementConfig
-    loadAware(double spillThreshold = 1.0)
+    loadAware()
     {
         PlacementConfig c;
         c.kind = Kind::LoadAware;
-        c.spillThreshold = spillThreshold;
         return c;
     }
 
     static PlacementConfig
-    locality(double loadBarrier = 2.0, double spillThreshold = 1.0)
+    locality()
     {
         PlacementConfig c;
         c.kind = Kind::Locality;
-        c.loadBarrier = loadBarrier;
-        c.spillThreshold = spillThreshold;
         return c;
     }
 };

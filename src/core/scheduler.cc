@@ -19,8 +19,6 @@ Scheduler::view(const FunctionDef &fn, std::span<const int> exclude)
         fn.cpuWork ? fn.cpuWork->image.mem.privateBytes +
                          fn.cpuWork->image.mem.runtimeShared / 8
                    : 0;
-    const sim::SimTime now = dep_.simulation().now();
-    const fault::FaultState *faults = dep_.faults();
 
     std::vector<PuView> &pus = viewRows_;
     pus.clear();
@@ -52,13 +50,6 @@ Scheduler::view(const FunctionDef &fn, std::span<const int> exclude)
             v.down = dep_.puDown(pu);
             v.excluded = std::find(exclude.begin(), exclude.end(),
                                    pu) != exclude.end();
-            if (faults != nullptr) {
-                v.capabilityEpoch = faults->puEpoch(pu);
-                const fault::LinkFault *lf = faults->linkFault(0, pu);
-                v.linkDegraded =
-                    lf != nullptr &&
-                    (lf->downUntil > now || lf->degradedUntil > now);
-            }
             pus.push_back(v);
         }
     }

@@ -6,8 +6,8 @@
  * control plane picks a concrete PU per request. The pick itself is
  * delegated to a swappable PlacementPolicy (see placement.hh): the
  * scheduler owns what policies may *see* — it snapshots per-PU price,
- * free memory, in-flight work, warm-sandbox presence, link state and
- * capability epochs into a PlacementView — and what they may *decide*
+ * free memory, in-flight work, warm-sandbox presence and PU health
+ * into a PlacementView — and what they may *decide*
  * (one PU id per request). The default PriceOrderedPolicy reproduces
  * the paper's §5 heuristic bit for bit.
  */

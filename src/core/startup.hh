@@ -11,10 +11,9 @@
  * bootstrap), which is the +1-3 ms of Fig 10's cfork-XPU bars.
  *
  * Keep-alive eviction order is delegated to a swappable
- * KeepAliveStrategy (see keepalive.hh): plain LRU, a FaasCache-style
- * greedy-dual priority (clock + freq x cost / size), or
- * histogram-predicted idle windows. The manager owns the pools and
- * the eviction mechanics; the strategy owns the order.
+ * KeepAliveStrategy (see keepalive.hh): plain LRU or a FaasCache-style
+ * greedy-dual priority (clock + freq x cost / size). The manager owns
+ * the pools and the eviction mechanics; the strategy owns the order.
  */
 
 #ifndef MOLECULE_CORE_STARTUP_HH
@@ -102,8 +101,6 @@ class StartupManager
                    StartupOptions options);
 
     const StartupOptions &options() const { return options_; }
-
-    StartupOptions &options() { return options_; }
 
     /**
      * Launch executors on every non-manager PU (xSpawn), prepare cfork

@@ -29,21 +29,6 @@ arrival(std::uint32_t fn = 0)
     return a;
 }
 
-TEST(DispatchPolicyTest, RoundRobinRotatesAndSkipsFullNodes)
-{
-    cluster::RoundRobinPolicy p;
-    const int out1[] = {0, 0, 0};
-    EXPECT_EQ(p.pick(arrival(), out1, 4), 0);
-    EXPECT_EQ(p.pick(arrival(), out1, 4), 1);
-    EXPECT_EQ(p.pick(arrival(), out1, 4), 2);
-    EXPECT_EQ(p.pick(arrival(), out1, 4), 0);
-    const int out2[] = {1, 4, 0}; // node 1 at cap
-    EXPECT_EQ(p.pick(arrival(), out2, 4), 2);
-    EXPECT_EQ(p.pick(arrival(), out2, 4), 0);
-    const int full[] = {4, 4, 4};
-    EXPECT_EQ(p.pick(arrival(), full, 4), -1);
-}
-
 TEST(DispatchPolicyTest, LeastOutstandingPicksArgminLowestIdTies)
 {
     cluster::LeastOutstandingPolicy p;

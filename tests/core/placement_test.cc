@@ -129,15 +129,6 @@ TEST(LoadAware, SpillsToHostWhenDpusSaturate)
     EXPECT_EQ(p.place(anyRequest(), PlacementView(views)), 0);
 }
 
-TEST(LoadAware, SpillThresholdIsConfigurable)
-{
-    auto views = cpuDpuViews();
-    views[1].outstanding = 8;
-    views[2].outstanding = 8;
-    LoadAwarePolicy relaxed(LoadAwarePolicy::Options{2.0});
-    EXPECT_EQ(relaxed.place(anyRequest(), PlacementView(views)), 1);
-}
-
 TEST(LoadAware, EveryKindSaturatedPicksGloballyLeastLoaded)
 {
     auto views = cpuDpuViews();
@@ -172,7 +163,7 @@ TEST(Locality, AffinityAbandonedPastLoadBarrier)
 {
     auto views = cpuDpuViews();
     views[1].warmSandboxes = 4;
-    views[1].outstanding = 16; // 2.0 load/core = default barrier
+    views[1].outstanding = 16; // 2.0 load/core = the barrier
     LocalityAffinityPolicy p;
     // Falls back to load-aware: dpu2 is idle and cheapest.
     EXPECT_EQ(p.place(anyRequest(), PlacementView(views)), 2);

@@ -1,4 +1,8 @@
-/** @file Unit tests for the startup manager (keep-alive, GPU, hot sets). */
+/**
+ * @file
+ * Unit tests for the startup manager (keep-alive strategies and
+ * budgets, GPU, hot sets).
+ */
 
 #include <gtest/gtest.h>
 
@@ -17,6 +21,17 @@ using core::Molecule;
 using core::MoleculeOptions;
 using hw::PuType;
 using workloads::Catalog;
+
+TEST(KeepAliveConfig, MakeBuildsTheSelectedStrategy)
+{
+    EXPECT_STREQ(KeepAliveConfig::lru().make()->name(), "lru");
+    EXPECT_STREQ(KeepAliveConfig::greedyDual().make()->name(),
+                 "greedy-dual");
+    EXPECT_EQ(KeepAliveConfig::greedyDual().kind,
+              KeepAliveConfig::Kind::GreedyDual);
+    EXPECT_STREQ(core::toString(KeepAliveConfig::Kind::GreedyDual),
+                 "greedy-dual");
+}
 
 TEST(Startup, GlobalBudgetEnforcedAcrossFunctions)
 {

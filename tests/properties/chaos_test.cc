@@ -15,6 +15,9 @@
  *  - Chains too: a PU crash at any instant of a cold or a warm chain
  *    ends it in success or a typed error, never an abort or a hang,
  *    and the chain after the restart succeeds.
+ *  - Deadlines beat retries: a failed FPGA reconfiguration whose
+ *    retry cannot start inside the deadline ends in DeadlineExceeded,
+ *    and the card is free for the next caller.
  */
 
 #include <gtest/gtest.h>
@@ -356,6 +359,53 @@ chainUnderCrash(bool warm, std::optional<SimTime> after)
     auto next = runtime.runSync(runtime.invokeChain(spec, cross));
     return ChainUnderCrash{std::move(faulted), returned - start,
                            std::move(next)};
+}
+
+TEST(Chaos, FpgaReconfigFailureUnderADeadlineIsDeadlineExceeded)
+{
+    sim::Simulation sim(42);
+    auto computer = hw::buildF1Server(sim, 1);
+    FaultState faults;
+    MoleculeOptions mo;
+    mo.faults = &faults;
+    Molecule runtime(*computer, mo);
+    runtime.registerFpgaFunction("fpga-gzip");
+    runtime.start();
+    const int host = computer->fpga(0).hostPuId();
+
+    // How long one failed composition takes (this consumes the armed
+    // failure; the card then holds no image).
+    faults.armFpgaReconfigFailure(host, 1);
+    SimTime t0 = sim.now();
+    const auto probe =
+        runtime.runSync(runtime.invokeFpga("fpga-gzip", 0, 1024));
+    ASSERT_FALSE(probe.ok());
+    ASSERT_EQ(probe.error().code(), Errc::FpgaReconfigFailed);
+    const SimTime failedCompose = sim.now() - t0;
+    ASSERT_GT(failedCompose, SimTime(0));
+
+    // The deadline outlasts the failed composition but not the 5 ms
+    // backoff after it, so the second attempt is refused at admission.
+    faults.armFpgaReconfigFailure(host, 1);
+    InvokeOptions opts;
+    opts.maxAttempts = 3;
+    opts.deadline = failedCompose + SimTime::milliseconds(2);
+    t0 = sim.now();
+    const auto late =
+        runtime.runSync(runtime.invokeFpga("fpga-gzip", 0, 1024, opts));
+    ASSERT_FALSE(late.ok());
+    EXPECT_EQ(late.error().code(), Errc::DeadlineExceeded)
+        << late.error().toString();
+    EXPECT_EQ(sim.now() - t0, failedCompose + SimTime::milliseconds(5));
+    EXPECT_FALSE(faults.consumeFpgaReconfigFailure(host))
+        << "the failed attempt must consume the armed failure";
+
+    // The per-card semaphore was released: the next call programs the
+    // card and runs.
+    const auto next =
+        runtime.runSync(runtime.invokeFpga("fpga-gzip", 0, 1024));
+    ASSERT_TRUE(next.ok()) << next.error().toString();
+    EXPECT_TRUE(next.value().coldStart);
 }
 
 TEST(Chaos, ChainSurvivesPuCrashAtAnyInstant)

@@ -255,7 +255,6 @@ TEST_P(KeepAliveSweep, PoolNeverExceedsCapacity)
 INSTANTIATE_TEST_SUITE_P(
     Policies, KeepAliveSweep,
     ::testing::Values(KeepAliveConfig::Kind::Lru,
-                      KeepAliveConfig::Kind::GreedyDual,
-                      KeepAliveConfig::Kind::Histogram));
+                      KeepAliveConfig::Kind::GreedyDual));
 
 } // namespace

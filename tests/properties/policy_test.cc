@@ -15,7 +15,7 @@
  *    worker threads;
  *  - the policies genuinely diverge under load (different digests),
  *    so the combos raced by policy_report are distinct behaviors, not
- *    five names for one.
+ *    four names for one.
  */
 
 #include <gtest/gtest.h>
@@ -144,8 +144,6 @@ combos()
          KeepAliveConfig::lru()},
         {"po+gd", PlacementConfig::priceOrdered(),
          KeepAliveConfig::greedyDual()},
-        {"po+hist", PlacementConfig::priceOrdered(),
-         KeepAliveConfig::histogram()},
     };
 }
 
@@ -202,7 +200,7 @@ TEST(PolicyDeterminism, PlacementPoliciesDivergeUnderLoad)
 TEST(PolicyDeterminism, KeepAliveStrategiesDivergeUnderChurn)
 {
     // Warm budget 2 across 4 functions: eviction order is exercised
-    // constantly, and the three strategies order it differently.
+    // constantly, and the two strategies order it differently.
     const Triple lru = runScenario(7, PlacementConfig::priceOrdered(),
                                    KeepAliveConfig::lru());
     const Triple gd = runScenario(7, PlacementConfig::priceOrdered(),

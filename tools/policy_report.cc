@@ -9,8 +9,9 @@
  * Zipf-skewed two-tenant mix. Each policy combo replays the *same*
  * arrival stream, so differences in throughput, tail latency and
  * accumulated dollars are attributable to the policies alone. The
- * final table marks the latency/cost Pareto frontier across combos
- * at the saturated rung.
+ * Pareto tables mark the latency/cost frontier across the placement
+ * combos at the saturated rung. The churn rung races the keep-alive
+ * strategies under price-ordered placement.
  *
  * --check enforces the invariants (per seed):
  *   - arrival accounting conserves: arrivals = admitted + shed +
@@ -26,6 +27,9 @@
  *   - per-combo digest triples are bit-identical serial vs re-run vs
  *     SweepRunner, and no two combos share one at the saturated rung
  *     (a combo the scenario cannot tell apart races nothing);
+ *   - on the churn rung (cold_churn's 14-function stream with four warm
+ *     instances per PU, so keep-alive evicts) LRU and greedy-dual
+ *     keep-alive do not share a digest triple either;
  *   - the Pareto frontier is non-empty and none of its points is
  *     dominated.
  *
@@ -52,31 +56,37 @@ using cluster::ScenarioResult;
 using sim::SimTime;
 using sim::Table;
 
-/** Rungs as multiples of the DPU-bound ceiling. */
+/** Rungs as multiples of the DPU-bound ceiling, each on one named
+ * scenario shape. */
 struct Rung
 {
     const char *label;
     double factor;
     bool saturated;
+    cluster::ScenarioSpec (*shape)(std::uint64_t, double, SimTime);
 };
 
 constexpr Rung kRungs[] = {
-    {"0.5x", 0.5, false},
-    {"1.6x", 1.6, true},
+    {"0.5x", 0.5, false, cluster::policyRace},
+    {"1.6x", 1.6, true, cluster::policyRace},
 };
 
 /** Shared horizon: every rung replays the same window. */
 constexpr double kHorizonSeconds = 30.0;
 
+/** The keep-alive race: 0.5x the ceiling is 240 inv/s, cold_churn's
+ * offered rate. */
+constexpr Rung kChurnRung = {"churn", 0.5, false, cluster::churnRace};
+
 constexpr std::uint64_t kSeeds[] = {42, 7, 1};
 
 /**
- * One raced configuration. Every combo keeps LRU: with 256 warm
- * instances per (function, PU) and four functions nothing is ever
- * evicted here, so a keep-alive strategy cannot change this race
+ * One raced configuration. The placement race keeps LRU: with 256
+ * warm instances per (function, PU) and four functions nothing is
+ * ever evicted there, so a keep-alive strategy cannot change it
  * (--check asserts no two combos share a digest triple). Keep-alive
- * is raced where the warm budget binds: prop_policy_test,
- * core_keepalive_test and `paper keepalive`.
+ * is raced on the churn rung, where the warm budget binds, under
+ * price-ordered placement.
  */
 struct Combo
 {
@@ -98,17 +108,29 @@ combos()
     };
 }
 
+std::vector<Combo>
+churnCombos()
+{
+    return {
+        {"po+lru", core::PlacementConfig::priceOrdered(),
+         core::KeepAliveConfig::lru()},
+        {"po+gd", core::PlacementConfig::priceOrdered(),
+         core::KeepAliveConfig::greedyDual()},
+    };
+}
+
 /**
- * One full fleet run under @p combo. @p installPolicies false leaves
- * the runtime options untouched (the implicit defaults) — the
- * policy-swap-does-not-perturb control arm.
+ * One full fleet run of @p rung under @p combo. @p installPolicies
+ * false leaves the runtime options untouched (the implicit defaults)
+ * — the policy-swap-does-not-perturb control arm.
  */
 ScenarioResult
-runCombo(std::uint64_t seed, double rate, const Combo &combo,
+runCombo(std::uint64_t seed, const Rung &rung, const Combo &combo,
          bool installPolicies = true)
 {
-    cluster::ScenarioSpec spec = cluster::policyRace(
-        seed, rate, SimTime::fromSeconds(kHorizonSeconds));
+    cluster::ScenarioSpec spec =
+        rung.shape(seed, kRaceCeilingPerSecond * rung.factor,
+                   SimTime::fromSeconds(kHorizonSeconds));
     if (installPolicies) {
         spec.fleet.runtime.placement = combo.placement;
         spec.fleet.runtime.startup.keepAlive = combo.keepAlive;
@@ -177,24 +199,67 @@ report(bool check, const std::string &jsonPath,
     };
 
     const std::vector<Combo> race = combos();
+    const std::vector<Combo> churn = churnCombos();
 
+    const std::vector<std::string> columns = {
+        "seed",  "rung",  "combo", "arrivals", "completed", "dropped",
+        "p50us", "p99us", "thr/s", "cost$",    "$/1k inv"};
     Table table("Policy race: 4-node 2xBF2 fleet, open gateway, "
                 "identical seeded streams");
-    table.header({"seed", "rung", "combo", "arrivals", "completed",
-                  "dropped", "p50us", "p99us", "thr/s", "cost$",
-                  "$/1k inv"});
+    table.header(columns);
+    Table churnTable("Keep-alive race: the same fleet, 14 functions, "
+                     "4 warm instances per PU, price-ordered placement");
+    churnTable.header(columns);
 
     std::vector<Row> rows;
+    std::vector<Row> churnRows;
+    // One run's table row, JSON row and accounting checks.
+    auto tally = [&fail](Table &t, std::vector<Row> &out,
+                         std::uint64_t seed, const Rung &rung,
+                         const Combo &combo, const ScenarioResult &o) {
+        const cluster::ClusterSummary &s = o.summary;
+        t.row({std::to_string(seed), rung.label, combo.label,
+               std::to_string(s.arrivals), std::to_string(s.completed),
+               std::to_string(s.dropped), Table::num(s.p50Us, 1),
+               Table::num(s.p99Us, 1),
+               Table::num(s.throughputPerSecond, 1),
+               Table::num(s.totalCost, 4),
+               Table::num(s.costPerInvocation * 1000.0, 6)});
+        out.push_back(Row{seed, &rung, combo.label, o});
+
+        const std::string label = combo.label;
+        if (s.arrivals != s.admitted + s.shed + s.dropped)
+            fail(seed, label + ": arrivals != admitted + shed + dropped");
+        if (s.admitted != s.completed + s.errors)
+            fail(seed, label + ": admitted != completed + errors");
+        if (s.completed <= 0)
+            fail(seed, label + ": nothing completed");
+        if (!(s.p50Us > 0.0 && s.p50Us <= s.p99Us))
+            fail(seed, label + ": percentiles not sane");
+        if (s.totalCost <= 0.0 || s.costPerInvocation <= 0.0)
+            fail(seed, label + ": completions not costed");
+    };
+    // A combo the rung cannot tell apart from another races nothing.
+    auto distinct = [&fail](std::uint64_t seed,
+                            const std::vector<Combo> &raced,
+                            const std::vector<ScenarioResult> &out) {
+        for (std::size_t c = 0; c < raced.size(); ++c)
+            for (std::size_t d = c + 1; d < raced.size(); ++d)
+                if (sameTriple(out[c], out[d]))
+                    fail(seed, std::string(raced[c].label) + " and " +
+                                   raced[d].label +
+                                   " share a digest triple: the race "
+                                   "cannot tell them apart");
+    };
+
     for (std::uint64_t seed : seeds) {
         // Policy swap must not perturb: explicit defaults vs a fleet
         // that never touched the policy knobs.
         {
-            const double rate =
-                kRaceCeilingPerSecond * kRungs[0].factor;
             const ScenarioResult implicit =
-                runCombo(seed, rate, race[0], false);
+                runCombo(seed, kRungs[0], race[0], false);
             const ScenarioResult explicitDefaults =
-                runCombo(seed, rate, race[0], true);
+                runCombo(seed, kRungs[0], race[0], true);
             if (!sameTriple(implicit, explicitDefaults))
                 fail(seed,
                      "installing the default policies explicitly "
@@ -203,41 +268,11 @@ report(bool check, const std::string &jsonPath,
 
         std::vector<ScenarioResult> saturated(race.size());
         for (const Rung &rung : kRungs) {
-            const double rate = kRaceCeilingPerSecond * rung.factor;
             for (std::size_t c = 0; c < race.size(); ++c) {
-                const ScenarioResult o =
-                    runCombo(seed, rate, race[c]);
+                const ScenarioResult o = runCombo(seed, rung, race[c]);
                 if (rung.saturated)
                     saturated[c] = o;
-                const cluster::ClusterSummary &s = o.summary;
-                table.row({std::to_string(seed), rung.label,
-                           race[c].label, std::to_string(s.arrivals),
-                           std::to_string(s.completed),
-                           std::to_string(s.dropped),
-                           Table::num(s.p50Us, 1), Table::num(s.p99Us, 1),
-                           Table::num(s.throughputPerSecond, 1),
-                           Table::num(s.totalCost, 4),
-                           Table::num(s.costPerInvocation * 1000.0, 6)});
-                rows.push_back(
-                    Row{seed, &rung, race[c].label, o});
-
-                if (s.arrivals != s.admitted + s.shed + s.dropped)
-                    fail(seed, std::string(race[c].label) +
-                                   ": arrivals != admitted + shed + "
-                                   "dropped");
-                if (s.admitted != s.completed + s.errors)
-                    fail(seed, std::string(race[c].label) +
-                                   ": admitted != completed + errors");
-                if (s.completed <= 0)
-                    fail(seed, std::string(race[c].label) +
-                                   ": nothing completed");
-                if (!(s.p50Us > 0.0 && s.p50Us <= s.p99Us))
-                    fail(seed, std::string(race[c].label) +
-                                   ": percentiles not sane");
-                if (s.totalCost <= 0.0 ||
-                    s.costPerInvocation <= 0.0)
-                    fail(seed, std::string(race[c].label) +
-                                   ": completions not costed");
+                tally(table, rows, seed, rung, race[c], o);
             }
         }
 
@@ -267,23 +302,17 @@ report(bool check, const std::string &jsonPath,
                            "us)");
 
         // Determinism: serial vs re-run vs SweepRunner, per combo.
-        const double satRate =
-            kRaceCeilingPerSecond * kRungs[std::size(kRungs) - 1].factor;
+        const Rung &satRung = kRungs[std::size(kRungs) - 1];
         std::vector<ScenarioResult> rerun(race.size());
         for (std::size_t c = 0; c < race.size(); ++c)
-            rerun[c] = runCombo(seed, satRate, race[c]);
+            rerun[c] = runCombo(seed, satRung, race[c]);
         sim::SweepRunner pool;
         const auto swept = pool.map<ScenarioResult>(
             race.size(), [&](std::size_t c) {
-                return runCombo(seed, satRate, race[c]);
+                return runCombo(seed, satRung, race[c]);
             });
+        distinct(seed, race, saturated);
         for (std::size_t c = 0; c < race.size(); ++c) {
-            for (std::size_t d = c + 1; d < race.size(); ++d)
-                if (sameTriple(saturated[c], saturated[d]))
-                    fail(seed, std::string(race[c].label) + " and " +
-                                   race[d].label +
-                                   " share a digest triple: the race "
-                                   "cannot tell them apart");
             if (!sameTriple(saturated[c], rerun[c]))
                 fail(seed, std::string(race[c].label) +
                                ": digest triple differs on re-run");
@@ -318,10 +347,22 @@ report(bool check, const std::string &jsonPath,
         for (std::size_t i = 1; i < frontier.size(); ++i)
             if (frontier[i - 1].p99Us > frontier[i].p99Us)
                 fail(seed, "Pareto frontier not sorted by p99");
+
+        // The keep-alive race on the churn rung.
+        std::vector<ScenarioResult> churned(churn.size());
+        for (std::size_t c = 0; c < churn.size(); ++c) {
+            churned[c] = runCombo(seed, kChurnRung, churn[c]);
+            tally(churnTable, churnRows, seed, kChurnRung, churn[c],
+                  churned[c]);
+        }
+        distinct(seed, churn, churned);
     }
     table.print();
+    std::printf("\n");
+    churnTable.print();
 
     if (!jsonPath.empty()) {
+        rows.insert(rows.end(), churnRows.begin(), churnRows.end());
         writeJson(jsonPath, rows);
         std::printf("\njson -> %s\n", jsonPath.c_str());
     }
@@ -331,7 +372,8 @@ report(bool check, const std::string &jsonPath,
     if (pass)
         std::printf("\nOK: policy race clean — swap-safe defaults, "
                     "reproducible digest triples, load-aware beats "
-                    "the DPU-bound ceiling\n");
+                    "the DPU-bound ceiling, keep-alive strategies "
+                    "differ under churn\n");
     else
         std::printf("\nFAIL: policy race violated invariants "
                     "(see stderr)\n");
