@@ -1,7 +1,6 @@
 /**
  * @file
- * Shared helpers for the wall-clock bench binaries: the output banner
- * and the PerfSnapshot that writes their BENCH_*.json files.
+ * PerfSnapshot: the writer of bench_micro_simcore's BENCH_simcore.json.
  */
 
 #ifndef MOLECULE_BENCH_COMMON_HH
@@ -9,19 +8,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <utility>
 #include <string>
 #include <vector>
 
 namespace molecule::bench {
-
-/** Print the standard header of a bench binary. */
-inline void
-banner(const std::string &what, const std::string &paperRef)
-{
-    std::printf("Molecule reproduction - %s\n", what.c_str());
-    std::printf("Paper reference: %s\n\n", paperRef.c_str());
-}
 
 /**
  * Collects benchmark results and emits a machine-readable perf

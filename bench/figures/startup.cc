@@ -6,6 +6,7 @@
 #include <array>
 
 #include "bench/figures/figures.hh"
+#include "core/commercial.hh"
 #include "sandbox/runc.hh"
 
 namespace molecule::figures {

@@ -10,11 +10,9 @@ Fleet::Fleet(sim::Simulation &sim, const FleetSpec &spec)
     runtimes_.reserve(std::size_t(n));
     for (int i = 0; i < n; ++i) {
         auto computer = hw::buildCpuDpuServer(sim_, spec_.dpusPerNode,
-                                              spec_.dpuGeneration);
-        core::MoleculeOptions options = spec_.runtime;
-        options.startup.warmCapacity = spec_.warmCapacity;
+                                              hw::DpuGeneration::Bf2);
         runtimes_.push_back(std::make_unique<core::Molecule>(
-            *computer, options));
+            *computer, spec_.runtime));
         computers_.push_back(std::move(computer));
     }
 }

@@ -21,7 +21,6 @@ Molecule::Molecule(hw::Computer &computer, MoleculeOptions options)
     scheduler_ = std::make_unique<Scheduler>(*dep_, registry_);
     scheduler_->setStartupManager(startup_.get());
     scheduler_->installPlacement(options_.placement.make());
-    gateway_ = std::make_unique<Gateway>(*dep_, *scheduler_);
     dag_ = std::make_unique<DagEngine>(*dep_, *startup_, registry_);
     if (options_.faults != nullptr) {
         dep_->attachFaults(options_.faults);
@@ -251,7 +250,7 @@ Molecule::cpuStep(Attempt a)
         const int requested = a.number == 1 || !failover ? a.opts.pu : -1;
         const obs::PuList exclude = failover ? a.tried : obs::PuList{};
         const Expected<int> admitted =
-            gateway_->admit(def, requested, exclude.view());
+            scheduler_->admit(def, requested, exclude.view());
         if (!admitted.ok())
             co_return admitted.error();
         target = admitted.value();

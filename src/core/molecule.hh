@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/dag.hh"
-#include "core/gateway.hh"
 #include "core/recovery.hh"
 #include "core/scheduler.hh"
 #include "core/startup.hh"
@@ -124,8 +123,6 @@ class Molecule
     StartupManager &startup() { return *startup_; }
 
     Scheduler &scheduler() { return *scheduler_; }
-
-    Gateway &gateway() { return *gateway_; }
 
     DagEngine &dag() { return *dag_; }
 
@@ -270,7 +267,6 @@ class Molecule
     std::unique_ptr<Deployment> dep_;
     std::unique_ptr<StartupManager> startup_;
     std::unique_ptr<Scheduler> scheduler_;
-    std::unique_ptr<Gateway> gateway_;
     std::unique_ptr<DagEngine> dag_;
     std::unique_ptr<RecoveryManager> recovery_;
     /** One caller per accelerator at a time (see fpgaStep/gpuStep). */

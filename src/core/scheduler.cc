@@ -60,6 +60,27 @@ Scheduler::view(const FunctionDef &fn, std::span<const int> exclude)
     return PlacementView(pus);
 }
 
+Expected<int>
+Scheduler::admit(const FunctionDef &fn, int requestedPu,
+                 std::span<const int> exclude)
+{
+    const bool excluded =
+        requestedPu >= 0 &&
+        std::find(exclude.begin(), exclude.end(), requestedPu) !=
+            exclude.end();
+    if (requestedPu >= 0 && !excluded) {
+        if (dep_.puDown(requestedPu))
+            return Error(Errc::PuCrashed,
+                         "requested PU is down", requestedPu);
+        return Expected<int>(requestedPu);
+    }
+    const int pick = place(fn, exclude);
+    if (pick < 0)
+        return Error(Errc::NoCapacity,
+                     "no PU can admit '" + fn.name + "'");
+    return Expected<int>(pick);
+}
+
 int
 Scheduler::place(const FunctionDef &fn, std::span<const int> exclude)
 {

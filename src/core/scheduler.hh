@@ -21,6 +21,7 @@
 #include "core/deployment.hh"
 #include "core/function.hh"
 #include "core/placement.hh"
+#include "core/status.hh"
 #include "sim/analysis.hh"
 #include "sim/stats.hh"
 
@@ -39,6 +40,21 @@ class Scheduler
         : dep_(dep), registry_(registry),
           policy_(std::make_unique<PriceOrderedPolicy>())
     {}
+
+    /**
+     * Admit one invocation of @p fn: the request's admission decision.
+     *
+     * @param requestedPu explicit placement (-1: the policy decides)
+     * @param exclude PUs earlier attempts of this invocation failed
+     *        on; an excluded explicit placement falls through to
+     *        failover placement
+     * @return the target PU, or a typed error: PuCrashed for an
+     *         explicit placement on a down PU, NoCapacity when no
+     *         allowed PU can admit the function.
+     */
+    [[nodiscard]] Expected<int> admit(const FunctionDef &fn,
+                                      int requestedPu,
+                                      std::span<const int> exclude = {});
 
     /**
      * Pick a PU for a single invocation of @p fn by the installed

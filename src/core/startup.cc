@@ -9,6 +9,13 @@ namespace molecule::core {
 
 namespace calib = hw::calib;
 
+namespace {
+
+/** Pre-initialized function containers per PU at bootstrap. */
+constexpr int kPooledContainersPerPu = 32;
+
+} // namespace
+
 StartupManager::StartupManager(Deployment &dep,
                                const FunctionRegistry &registry,
                                StartupOptions options)
@@ -85,7 +92,7 @@ StartupManager::bootstrap(int managerPu)
     std::vector<sim::Task<>> preps;
     for (int pu : dep_.generalPus()) {
         auto prepOne = [](Deployment *dep, const FunctionRegistry *reg,
-                          int target, int pool) -> sim::Task<> {
+                          int target) -> sim::Task<> {
             auto &runc = dep->runcOn(target);
             bool preparedPython = false, preparedNode = false;
             // One generic template per language, seeded from the first
@@ -100,10 +107,10 @@ StartupManager::bootstrap(int managerPu)
                     preparedNode = co_await runc.prepareTemplate(*img);
                 }
             }
-            co_await runc.prewarmFunctionContainers(pool);
+            co_await runc.prewarmFunctionContainers(
+                kPooledContainersPerPu);
         };
-        preps.push_back(prepOne(&dep_, &registry_, pu,
-                                options_.pooledContainersPerPu));
+        preps.push_back(prepOne(&dep_, &registry_, pu));
     }
     co_await sim::allOf(dep_.simulation(), std::move(preps));
 }
@@ -459,8 +466,7 @@ StartupManager::rewarmPu(int pu, obs::SpanContext ctx)
             preparedNode = co_await runc.prepareTemplate(*img);
         }
     }
-    co_await runc.prewarmFunctionContainers(
-        options_.pooledContainersPerPu);
+    co_await runc.prewarmFunctionContainers(kPooledContainersPerPu);
 }
 
 } // namespace molecule::core

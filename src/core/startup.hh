@@ -41,7 +41,7 @@ struct StartupOptions
     bool useCfork = true;
     sandbox::StartupPath cforkPath = sandbox::StartupPath::CforkCpusetOpt;
     /** Warm instances kept per (function, PU). */
-    std::size_t warmCapacity = 64;
+    std::size_t warmCapacity = 256;
     /**
      * When non-zero, warm instances additionally compete for a global
      * per-PU budget across functions: the eviction policy then
@@ -51,8 +51,6 @@ struct StartupOptions
     std::size_t globalWarmCapacityPerPu = 0;
     /** Eviction-order strategy selection (see keepalive.hh). */
     KeepAliveConfig keepAlive;
-    /** Pre-initialized function containers per PU at bootstrap. */
-    int pooledContainersPerPu = 32;
 };
 
 /** Result of acquiring a CPU/DPU instance. */

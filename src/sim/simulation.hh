@@ -173,6 +173,14 @@ class Simulation
     /** Number of pending events (diagnostics). */
     std::size_t pendingEvents() const { return events_.size(); }
 
+    /** Events scheduled so far, cancelled ones included: the queue's
+     * schedule sequence, so a delta across a run is an exact event
+     * count that costs the per-event path nothing. */
+    std::uint64_t eventsScheduled() const
+    {
+        return events_.lastScheduledSeq();
+    }
+
     /** @name Sim-time conflict detector (see sim/analysis.hh) */
     ///@{
 

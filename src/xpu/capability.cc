@@ -51,6 +51,19 @@ CapabilityStore::removeObject(ObjId id)
     if (!it->second.uuid.empty())
         byUuid_.erase(it->second.uuid);
     objects_.erase(it);
+    // The grants on the object go with it, and a CAP_Group left with
+    // none goes too: groups do not outlive every object they named.
+    for (auto g = groups_.begin(); g != groups_.end();) {
+        g->second.remove(id, Perm::Read | Perm::Write | Perm::Owner);
+        g = g->second.size() == 0 ? groups_.erase(g) : std::next(g);
+    }
+}
+
+void
+CapabilityStore::removeGroup(XpuPid pid)
+{
+    version_.fetchAdd(1);
+    groups_.erase(pid.encode());
 }
 
 void

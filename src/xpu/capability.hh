@@ -89,7 +89,12 @@ class CapabilityStore
     /** Register (or overwrite) a distributed object descriptor. */
     void registerObject(const DistributedObject &obj);
 
+    /** Drop an object and every grant on it; a CAP_Group left empty
+     * goes too. */
     void removeObject(ObjId id);
+
+    /** Drop the CAP_Group of @p pid (the process has exited). */
+    void removeGroup(XpuPid pid);
 
     /** Apply a capability grant. Creates the CAP_Group on demand. */
     void applyGrant(XpuPid pid, ObjId obj, Perm perm);

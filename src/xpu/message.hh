@@ -16,7 +16,9 @@ namespace molecule::xpu {
 enum class SyncOp {
     /** Replicate a new distributed object (+ owner capabilities). */
     RegisterObject,
-    /** Drop a distributed object (lazy path: refcount reached zero). */
+    /** Drop a distributed object (lazy path: refcount reached zero);
+     * a set pid names its owner, which has exited, so the owner's
+     * CAP_Group goes with it. */
     RemoveObject,
     /** Replicate a capability grant. */
     Grant,

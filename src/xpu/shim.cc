@@ -57,6 +57,8 @@ XpuShim::applySync(const SyncMessage &msg)
         break;
       case SyncOp::RemoveObject:
         caps_.removeObject(msg.objId);
+        if (msg.pid.pu >= 0)
+            caps_.removeGroup(msg.pid);
         break;
       case SyncOp::Grant:
         caps_.applyGrant(msg.pid, msg.objId, msg.perm);
@@ -351,6 +353,10 @@ XpuShim::xfifoClose(XpuPid caller, ObjId obj)
         SyncMessage msg;
         msg.op = SyncOp::RemoveObject;
         msg.objId = obj;
+        // The owner's exit rides on its last close: the grants it
+        // still holds on live objects name a process that is gone.
+        if (home.os_.findProcess(o->owner.local) == nullptr)
+            msg.pid = o->owner;
         co_await home.enqueueLazy(msg);
     }
     co_return core::Status();

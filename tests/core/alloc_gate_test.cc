@@ -14,7 +14,10 @@
  *    cheaper than earlier ones);
  *  - a warm Alexa chain, on instances an earlier chain wired, allocates
  *    an exact committed count (the chain's bookkeeping and record; no
- *    XPU-FIFO, client, grant or connection is made again).
+ *    XPU-FIFO, client, grant or connection is made again);
+ *  - each named cluster shape (the saturated ladder rung, the policy
+ *    race under each placement policy, the churn rung) schedules,
+ *    allocates and completes exactly its committed counts.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +28,7 @@
 #include <new>
 #include <string>
 
+#include "cluster/scenario.hh"
 #include "core/molecule.hh"
 #include "hw/computer.hh"
 #include "workloads/catalog.hh"
@@ -189,6 +193,96 @@ TEST(AllocGate, WarmChainAllocatesExactly)
     for (int i = 0; i < kWarmChains; ++i)
         ASSERT_TRUE(rt.runSync(rt.invokeChain(spec, cross)).ok());
     EXPECT_EQ(gAllocs.load() - before, kWarmChainAllocs);
+}
+
+/**
+ * Exact counters of one named cluster shape, seed 42, 10 sim-s: events
+ * scheduled, heap allocations and completions, all taken across
+ * Scenario::run() (the gateway, the open-loop stream and the drain;
+ * fleet boot is outside). Each is a deterministic integer, so the gate
+ * has no tolerance: any change, up or down, fails until the constants
+ * are re-pinned, with the reason recorded in CHANGES.md.
+ */
+struct ExactCounts
+{
+    std::uint64_t events = 0;
+    std::uint64_t allocs = 0;
+    std::int64_t completed = 0;
+};
+
+constexpr std::uint64_t kExactSeed = 42;
+const sim::SimTime kExactHorizon = sim::SimTime::fromSeconds(10.0);
+
+ExactCounts
+countRun(const cluster::ScenarioSpec &spec)
+{
+    sim::Simulation sim(kExactSeed);
+    cluster::Scenario scenario(sim, spec);
+    const std::uint64_t events = sim.eventsScheduled();
+    const std::uint64_t allocs = gAllocs.load();
+    const cluster::ScenarioResult r = scenario.run();
+    ExactCounts out;
+    out.allocs = gAllocs.load() - allocs;
+    out.events = sim.eventsScheduled() - events;
+    out.completed = r.summary.completed;
+    return out;
+}
+
+void
+expectExact(const cluster::ScenarioSpec &spec, const ExactCounts &pinned)
+{
+    const ExactCounts got = countRun(spec);
+    testing::Test::RecordProperty("events", std::to_string(got.events));
+    testing::Test::RecordProperty("allocs", std::to_string(got.allocs));
+    testing::Test::RecordProperty("completed",
+                                  std::to_string(got.completed));
+    EXPECT_EQ(got.events, pinned.events);
+    EXPECT_EQ(got.allocs, pinned.allocs);
+    EXPECT_EQ(got.completed, pinned.completed);
+}
+
+/** policyRace at 1.6x its ceiling (overload_warm's rung) with LRU. */
+cluster::ScenarioSpec
+saturatedRace(const core::PlacementConfig &placement)
+{
+    cluster::ScenarioSpec spec = cluster::policyRace(
+        kExactSeed, 1.6 * cluster::kRaceCeilingPerSecond, kExactHorizon);
+    spec.fleet.runtime.placement = placement;
+    spec.fleet.runtime.startup.keepAlive = core::KeepAliveConfig::lru();
+    return spec;
+}
+
+TEST(AllocGate, ExactCountersLadderSaturated)
+{
+    expectExact(cluster::clusterLadder(
+                    kExactSeed, 1.6 * cluster::kLadderAdmittedPerSecond,
+                    kExactHorizon),
+                {14874, 2085, 3194});
+}
+
+TEST(AllocGate, ExactCountersRacePriceOrdered)
+{
+    expectExact(saturatedRace(core::PlacementConfig::priceOrdered()),
+                {38743, 6069, 7699});
+}
+
+TEST(AllocGate, ExactCountersRaceLoadAware)
+{
+    expectExact(saturatedRace(core::PlacementConfig::loadAware()),
+                {31969, 4723, 7699});
+}
+
+TEST(AllocGate, ExactCountersRaceLocality)
+{
+    expectExact(saturatedRace(core::PlacementConfig::locality()),
+                {31755, 4536, 7699});
+}
+
+/** churnRace at cold_churn's 240 inv/s: keep-alive evicts. */
+TEST(AllocGate, ExactCountersChurn)
+{
+    expectExact(cluster::churnRace(kExactSeed, 240.0, kExactHorizon),
+                {30374, 22444, 2378});
 }
 
 } // namespace

@@ -212,6 +212,12 @@ TEST(ChainFabric, EvictionReleasesTheFabric)
             EXPECT_EQ(r.shim(pu).caps().objectCount(),
                       r.liveTotal() + pending)
                 << "round " << round << ", PU " << pu;
+            // CAP_Groups go with them: at most one per live fabric
+            // (instances and the gateway) plus one per pending
+            // removal, however many instances have died.
+            EXPECT_LE(r.shim(pu).caps().groupCount(),
+                      r.rt->dag().fabricCount() + pending)
+                << "round " << round << ", PU " << pu;
         }
     }
     EXPECT_GT(r.rt->startup().evictions(), 40);

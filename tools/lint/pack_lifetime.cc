@@ -19,8 +19,13 @@
  *    std::span(local)` where `local` is a function-local container,
  *    or `= make().span()`-style chains through an rvalue.
  *
- * All three scan src/ only: tests drive the simulator synchronously
+ * These three scan src/ only: tests drive the simulator synchronously
  * inside one frame, where by-reference captures are legitimate.
+ *
+ *  - co-await-in-condition: `co_await` inside an if / while / for /
+ *    switch condition. GCC 12 drops the continuation of such an
+ *    await at -O2 (sim/task.hh, rule 4); await into a named local
+ *    first. Scans every file: tests' coroutines miscompile too.
  */
 
 #include <cctype>
@@ -412,6 +417,52 @@ class ViewOfTemporaryRule final : public Rule
     }
 };
 
+// ---------------------------------------------------------------------
+// co-await-in-condition
+// ---------------------------------------------------------------------
+
+class CoAwaitInConditionRule final : public Rule
+{
+  public:
+    CoAwaitInConditionRule()
+        : Rule("lifetime", "co-await-in-condition",
+               "co_await inside an if/while/for/switch condition")
+    {}
+
+    bool
+    inScope(const std::string &) const override
+    {
+        return true;
+    }
+
+    void
+    run(const Project &, const SourceFile &f,
+        std::vector<Finding> &out) const override
+    {
+        const std::string &code = f.code;
+        for (const std::string kw : {"if", "while", "for", "switch"}) {
+            for (std::size_t pos : findWord(code, kw)) {
+                const std::size_t open =
+                    code.find_first_not_of(" \t\r\n", pos + kw.size());
+                if (open == std::string::npos || code[open] != '(')
+                    continue;
+                const std::size_t close = matchParen(code, open);
+                if (close == std::string::npos)
+                    continue;
+                for (std::size_t at :
+                     findWord(code.substr(open, close - open),
+                              "co_await"))
+                    emit(f, open + at,
+                         "co_await inside a " + kw +
+                             " condition miscompiles at -O2 "
+                             "(sim/task.hh rule 4): await into a "
+                             "named local first",
+                         out);
+            }
+        }
+    }
+};
+
 } // namespace
 
 void
@@ -420,6 +471,7 @@ registerLifetime(Registry &registry)
     registry.add(std::make_unique<RefCaptureEscapeRule>());
     registry.add(std::make_unique<ArenaEscapeRule>());
     registry.add(std::make_unique<ViewOfTemporaryRule>());
+    registry.add(std::make_unique<CoAwaitInConditionRule>());
 }
 
 } // namespace molecule::lint

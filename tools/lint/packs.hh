@@ -27,7 +27,9 @@ void registerSimPurity(Registry &registry);
  * to schedule/spawn), arena-escape (sim::Arena / obs::SpanBuffer
  * pointers used across reset()/clear()/dropOldest — the copy-out-
  * before-reset rule of DESIGN.md §4d), view-of-temporary (spans /
- * data() bound to a temporary's storage).
+ * data() bound to a temporary's storage), co-await-in-condition
+ * (co_await inside an if/while/for/switch condition, sim/task.hh
+ * rule 4).
  */
 void registerLifetime(Registry &registry);
 

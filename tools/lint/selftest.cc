@@ -246,6 +246,29 @@ fixtures()
                        "ids_.size());\n"
                        "}\n"),
                    {}});
+    out.push_back({"lifetime", "co_await in if and while conditions",
+                   one("tests/core/x_test.cc",
+                       "sim::Task<> f() {\n"
+                       "    if (co_await ready()) {}\n"
+                       "    while (!(co_await next()).ok()) {}\n"
+                       "}\n"),
+                   {"co-await-in-condition", "co-await-in-condition"}});
+    out.push_back({"lifetime", "co_await in for and switch conditions",
+                   one("src/core/x.cc",
+                       "sim::Task<> f() {\n"
+                       "    for (auto v : co_await list()) {}\n"
+                       "    switch (co_await kind()) {}\n"
+                       "}\n"),
+                   {"co-await-in-condition", "co-await-in-condition"}});
+    out.push_back({"lifetime", "co_await into a named local ok",
+                   one("src/core/x.cc",
+                       "sim::Task<> f() {\n"
+                       "    const bool r = co_await ready();\n"
+                       "    if (r) { co_await step(); }\n"
+                       "    // if (co_await ready()) is banned\n"
+                       "    const char *s = \"while (co_await x)\";\n"
+                       "}\n"),
+                   {}});
 
     // -----------------------------------------------------------------
     // error-discard
@@ -334,7 +357,7 @@ fixtures()
                    {}});
     out.push_back({"layering", "obs includes core (upward)",
                    one("src/obs/x.hh",
-                       "#include \"core/gateway.hh\"\n"),
+                       "#include \"core/scheduler.hh\"\n"),
                    {"layering"}});
     out.push_back({"layering", "commented include ignored",
                    one("src/sim/y.hh",

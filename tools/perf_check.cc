@@ -8,16 +8,15 @@
  *              [--tolerance 0.20] [--warn-only]
  *
  * Every benchmark present in BOTH files is compared on its headline
- * "value" (items/sec, best-of-repetitions). A benchmark regresses
+ * "value" (items/sec, median of repetitions). A benchmark regresses
  * when fresh < reference * (1 - tolerance); the default tolerance of
  * 20% absorbs shared-runner noise while still catching real cliffs.
  * Benchmarks present only on one side are reported but never fail
  * the gate (new benches have no reference yet).
  *
- * --warn-only (or MOLECULE_PERF_WARN_ONLY=1 in the environment)
- * downgrades regressions to warnings — the escape hatch for known-
- * noisy CI pools — while keeping the full comparison table in the
- * log.
+ * --warn-only downgrades regressions to warnings — the escape hatch
+ * for known-noisy CI pools — while keeping the full comparison table
+ * in the log.
  *
  * The parser is deliberately minimal: it understands exactly the
  * snapshot shape PerfSnapshot::writeJson emits (a flat "results"
@@ -27,7 +26,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -89,12 +87,6 @@ main(int argc, char **argv)
     std::string refPath, freshPath;
     double tolerance = 0.20;
     bool warnOnly = false;
-
-    const char *env = std::getenv("MOLECULE_PERF_WARN_ONLY");
-    if (env != nullptr && std::strcmp(env, "0") != 0 &&
-        std::strcmp(env, "") != 0)
-        warnOnly = true;
-
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--tolerance" && i + 1 < argc) {
